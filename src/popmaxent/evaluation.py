@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dense import DEFAULT_ENUM_CAP, ScopeLayout
+from ._dense import DEFAULT_ENUM_CAP
 from .core import Population
 from .errors import PopmaxentError, ValidationError
 from .extraction import ConstraintSet
@@ -63,8 +63,7 @@ def mre(pop: Population, constraints: ConstraintSet) -> EvalResult:
     if pop.total == 0:
         raise ValidationError("cannot score an empty population")
     t0 = time.perf_counter()
-    layout = ScopeLayout(constraints.schema, constraints.patterns())
-    achieved = layout.sparse_masses(pop.cells, pop.counts, pop.total)
+    achieved = constraints.layout.sparse_masses(pop.cells, pop.counts, pop.total)
     targets = constraints.targets()
     rel = np.abs(achieved - targets) / targets
     arities = constraints.arities()
@@ -146,15 +145,7 @@ class BenchmarkRow:
     mre_unary: float
     mre_binary: float
     mre_ternary: float
-    fit_seconds: float
-    sample_seconds: float
     converged: bool
-
-    def key_fields(self) -> tuple:
-        """Row content minus wall-time diagnostics (the deterministic part)."""
-        return (self.problem, self.k, self.max_arity, self.method, self.n,
-                self.seed, self.mre, self.mre_unary, self.mre_binary,
-                self.mre_ternary, self.converged)
 
 
 @dataclass(frozen=True)
@@ -179,12 +170,11 @@ class BenchmarkReport:
 
 
 def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: int):
-    """Record-level raking for one grid cell; returns (weights, seconds, converged).
+    """Record-level raking for one grid cell; returns (weights, converged).
 
     The pool's generator is the first child of ``SeedSequence(seed)``, so
     it is independent of the stream that later samples the individuals.
     """
-    t0 = time.perf_counter()
     (pool_seed,) = np.random.SeedSequence(seed).spawn(1)
     pool = unary_pool(constraints, n, pool_seed)
     weights, max_dev = _rake(
@@ -195,7 +185,7 @@ def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: 
         grid.enum_cap,
     )
     tol = grid.rake_tol if grid.rake_tol is not None else grid.fit_tol
-    return weights, time.perf_counter() - t0, max_dev <= tol
+    return weights, max_dev <= tol
 
 
 def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
@@ -223,28 +213,24 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
         for method in grid.methods:
             if method == "maxent":
                 try:
-                    t0 = time.perf_counter()
                     model, fit = fit_hard(
                         cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter,
                         enum_cap=grid.enum_cap,
                     )
-                    fitted = (WeightVector(cs.schema, model.probabilities()),
-                              time.perf_counter() - t0, fit.converged)
+                    fitted = (WeightVector(cs.schema, model.probabilities()), fit.converged)
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     failures.append(f"{problem.name}/{method}: fit failed: {exc}")
                     continue
 
             def cell_job(n: int, seed: int):
                 if method == "maxent":
-                    weights, fit_seconds, converged = fitted
+                    weights, converged = fitted
                 else:
                     try:
-                        weights, fit_seconds, converged = _raking_cell(cs, grid, n, seed)
+                        weights, converged = _raking_cell(cs, grid, n, seed)
                     except PopmaxentError as exc:  # recorded, not fatal
                         return f"{problem.name}/{method}/n={n}/seed={seed}: raking failed: {exc}"
-                t0 = time.perf_counter()
                 synth = sample_weighted(weights, n, seed)
-                sample_seconds = time.perf_counter() - t0
                 scored = mre(synth, cs)
                 by_arity = {a: scored.per_arity.get(a, math.nan) for a in (1, 2, 3)}
                 return BenchmarkRow(
@@ -258,8 +244,6 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
                     mre_unary=by_arity[1],
                     mre_binary=by_arity[2],
                     mre_ternary=by_arity[3],
-                    fit_seconds=fit_seconds,
-                    sample_seconds=sample_seconds,
                     converged=converged,
                 )
 
@@ -303,8 +287,7 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
 
 RESULT_COLUMNS = (
     "problem", "k", "max_arity", "method", "n", "seed", "mre",
-    "mre_unary", "mre_binary", "mre_ternary",
-    "fit_seconds", "sample_seconds", "converged",
+    "mre_unary", "mre_binary", "mre_ternary", "converged",
 )
 
 

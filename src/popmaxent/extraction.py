@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._dense import ScopeLayout
 from .core import (
     AttributeSchema,
     MarginalTable,
@@ -130,6 +132,11 @@ class ConstraintSet:
 
     def targets(self) -> np.ndarray:
         return np.array([c.target for c in self.constraints])
+
+    @cached_property
+    def layout(self) -> ScopeLayout:
+        """The set's scope grouping, built on first use and shared by every caller."""
+        return ScopeLayout(self.schema, self.patterns())
 
     def patterns(self) -> list[Pattern]:
         return [c.pattern for c in self.constraints]

@@ -8,8 +8,10 @@ direct summation; beyond the cap, Metropolis single-site MCMC estimates
 the moments instead.
 
 Hard fitting minimizes the dual  log Z(lambda) - lambda . alpha  whose
-gradient is (model moments - targets).  Soft fitting adds the quadratic
-multiplier penalty  sum_j lambda_j^2 / (2 beta w_j), the dual form of the
+gradient is (model moments - targets), by L-BFGS and then, where L-BFGS
+stops on a dual flat to rounding before the tolerance, by Newton steps
+on the gradient alone.  Soft fitting adds the quadratic multiplier
+penalty  sum_j lambda_j^2 / (2 beta w_j), the dual form of the
 entropy-versus-fidelity trade-off with per-constraint weights.
 """
 
@@ -21,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from ._dense import DEFAULT_ENUM_CAP, ScopeLayout, check_cap
+from ._dense import DEFAULT_ENUM_CAP, check_cap
 from .core import AttributeSchema, Pattern, Population
 from .errors import ValidationError
 from .extraction import ConstraintSet
@@ -31,6 +34,8 @@ from .sampling import draw_cells
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
+POLISH_STEPS = 5  # Newton steps after L-BFGS stops on a flat dual short of tol
+POLISH_CG_ITERATIONS = 20  # conjugate-gradient iterations per Newton step
 
 
 def feature_value(schema: AttributeSchema, pattern: Pattern, cell: int) -> int:
@@ -112,35 +117,31 @@ class MaxEntModel:
     def schema(self) -> AttributeSchema:
         return self.constraints.schema
 
-    @property
-    def layout(self) -> ScopeLayout:
-        layout = getattr(self, "_layout", None)
-        if layout is None:
-            layout = ScopeLayout(self.schema, self.constraints.patterns())
-            object.__setattr__(self, "_layout", layout)
-        return layout
-
     def log_partition(self) -> float:
         check_cap(self.schema, self.enum_cap)
-        return float(logsumexp(self.layout.energies(self.lam)))
+        return float(logsumexp(self.constraints.layout.energies(self.lam)))
 
     def probabilities(self) -> np.ndarray:
         """Dense cell probabilities in canonical order (exact mode only)."""
         check_cap(self.schema, self.enum_cap)
-        e = self.layout.energies(self.lam)
-        e -= e.max()
-        p = np.exp(e)
-        p /= p.sum()
-        return p
+        return _probabilities(self.lam, self.constraints.layout)
 
     def moments(self) -> np.ndarray:
-        return self.layout.masses(self.probabilities())
+        return self.constraints.layout.masses(self.probabilities())
 
     def dual_objective(self) -> tuple[float, np.ndarray]:
         """Dual value log Z - lambda.alpha and its gradient (moments - targets)."""
         targets = self.constraints.targets()
         value = self.log_partition() - float(self.lam @ targets)
         return value, self.moments() - targets
+
+
+def _probabilities(lam: np.ndarray, layout) -> np.ndarray:
+    e = layout.energies(lam)
+    e -= e.max()
+    p = np.exp(e)
+    p /= p.sum()
+    return p
 
 
 def uniform_model(constraints: ConstraintSet, enum_cap: int = DEFAULT_ENUM_CAP) -> MaxEntModel:
@@ -167,6 +168,39 @@ def _dual_value_grad(lam, layout, targets):
     value = mx + math.log(z) - float(lam @ targets)
     grad = layout.masses(w / z) - targets
     return value, grad
+
+
+def _polish(lam, layout, targets, tol, steps):
+    """Newton steps on the moment residual; returns (lam, residual, steps taken).
+
+    L-BFGS compares dual values.  Once the residual is below about
+    sqrt(eps |dual|), near 1e-8, a step that still shrinks it changes the
+    dual by less than one unit in the last place, so L-BFGS can stop on a
+    flat dual short of a tighter ``tol``; whether it gets there depends on
+    the rounding of each evaluation.  Newton steps need the gradient
+    alone: the dual's Hessian is the covariance of the features under the
+    model, so H v = masses(p * energies(v)) - mu (mu . v), and conjugate
+    gradients solve for the step.  A step is kept only if it shrinks the
+    residual.
+    """
+    p = _probabilities(lam, layout)
+    mu = layout.masses(p)
+    residual = float(np.abs(mu - targets).max())
+    taken = 0
+    while taken < steps and residual > tol:
+        hess = LinearOperator(
+            (lam.size, lam.size), dtype=np.float64,
+            matvec=lambda v: layout.masses(p * layout.energies(v)) - mu * float(mu @ v),
+        )
+        step, _ = cg(hess, targets - mu, maxiter=POLISH_CG_ITERATIONS)
+        p_next = _probabilities(lam + step, layout)
+        mu_next = layout.masses(p_next)
+        next_residual = float(np.abs(mu_next - targets).max())
+        if not next_residual < residual:
+            break
+        lam, p, mu, residual = lam + step, p_next, mu_next, next_residual
+        taken += 1
+    return lam, residual, taken
 
 
 def _minimize(fun, m, tol, max_iter):
@@ -200,21 +234,25 @@ def fit_hard(
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)
         return model, FitReport(0, math.log(constraints.schema.n_cells), 0.0, True, 0.0)
 
-    model_probe = uniform_model(constraints, enum_cap)  # validates boundary targets
-    layout = model_probe.layout
+    uniform_model(constraints, enum_cap)  # validates boundary targets
+    layout = constraints.layout
     targets = constraints.targets()
 
     res, seconds = _minimize(lambda lam: _dual_value_grad(lam, layout, targets),
                              constraints.m, tol, max_iter)
-    model = MaxEntModel(constraints, res.x, enum_cap)
-    residual = float(np.abs(model.moments() - targets).max())
-    return model, FitReport(
+    # status 1: the iteration budget ran out, which the polish must not extend
+    lam, residual, polished = _polish(res.x, layout, targets, tol,
+                                      POLISH_STEPS if res.status != 1 else 0)
+    message = str(res.message)
+    if polished:
+        message += f"; {polished} Newton steps on the residual"
+    return MaxEntModel(constraints, lam, enum_cap), FitReport(
         iterations=int(res.nit),
         dual_value=float(res.fun),
         residual=residual,
         converged=residual <= tol,
         seconds=seconds,
-        message=str(res.message),
+        message=message,
     )
 
 
@@ -245,7 +283,8 @@ def fit_soft(
         )
         return model, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0)
 
-    layout = uniform_model(constraints, enum_cap).layout
+    uniform_model(constraints, enum_cap)  # validates boundary targets
+    layout = constraints.layout
     targets = constraints.targets()
     inv_bw = 1.0 / (cfg.beta * weights[active])
 
@@ -295,9 +334,8 @@ class _ChainTables:
         self.tables: list[list[float]] = []
         self.strides: list[tuple[int, ...]] = []
         scopes: list[tuple[int, ...]] = []
-        for g in model.layout.groups:
-            table = np.zeros(g.size)
-            np.add.at(table, g.combos, model.lam[g.constraint_idx])
+        layout = model.constraints.layout
+        for g, table in zip(layout.groups, layout.scope_tables(model.lam)):
             self.tables.append(table.tolist())
             stride = [0] * len(g.scope)
             s = 1
@@ -387,7 +425,7 @@ def metropolis_moments(
         raise ValidationError("need sweeps > burn_in >= 0")
     tables = _ChainTables(model)
     cells, counts = _run_chain(tables, sweeps, burn_in, seed)
-    return model.layout.sparse_masses(cells, counts, sweeps - burn_in)
+    return model.constraints.layout.sparse_masses(cells, counts, sweeps - burn_in)
 
 
 def fit_metropolis(

@@ -46,7 +46,6 @@ import numpy as np
 
 from ._dense import (
     DEFAULT_ENUM_CAP,
-    ScopeLayout,
     axes_complement,
     bcast_shape,
     check_cap,
@@ -308,8 +307,7 @@ def pool_constraints(constraints: ConstraintSet, pool: Population) -> Constraint
     records match, so raking either one raises
     :class:`UnmatchableConstraintError` whatever the weights.
     """
-    layout = ScopeLayout(constraints.schema, constraints.patterns())
-    mass = layout.sparse_masses(pool.cells, pool.counts, pool.total)
+    mass = constraints.layout.sparse_masses(pool.cells, pool.counts, pool.total)
     kept = tuple(
         c for c, m in zip(constraints.constraints, mass)
         if m > 0.0 and not (m >= 1.0 and c.target < 1.0)

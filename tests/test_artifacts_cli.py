@@ -152,8 +152,11 @@ class TestCliPipeline:
             main(["extract", "source.csv", "--out", "c.json"])
             main(["fit", "c.json", "--out", "m.json"])
             main(["sample", "m.json", "--out", "p.csv", "-n", "500", "--seed", "9"])
+            main(["benchmark", "--problems", "c.json", "--sizes", "100", "--seeds", "1,2",
+                  "--rake-iterations", "20", "--out-dir", "bench"])
             outputs.append(tuple((workdir / f).read_bytes()
-                                 for f in ("c.json", "m.json", "p.csv")))
+                                 for f in ("c.json", "m.json", "p.csv",
+                                           "bench/results.csv", "bench/summary.csv")))
         assert outputs[0] == outputs[1]
 
     def test_sample_requires_seed(self, tmp_path, problem):

@@ -5,9 +5,10 @@ Claims:
       forms on one and two constraints, and is invariant to duplicating
       every individual
     - MRE shrinks with sample size for a fixed fitted model
-    - the grid runner emits one row per (problem, method, n, seed), is
-      deterministic apart from wall times, records fit failures without
-      dying, and the winner gap follows the relative-reduction convention
+    - the grid runner emits one row per (problem, method, n, seed), writes
+      the same results table byte for byte on every run and worker count,
+      records fit failures without dying, and the winner gap follows the
+      relative-reduction convention
     - a raking row is record-level raking: a unary pool drawn under the
       cell's seed, raked on the constraints it can carry, sampled with
       sample_weighted, and scored on every constraint; its converged flag
@@ -163,13 +164,13 @@ class TestBenchmark:
     def test_deterministic_apart_from_wall_times(self):
         a = run_benchmark(self.grid())
         b = run_benchmark(self.grid())
-        assert [r.key_fields() for r in a.rows] == [r.key_fields() for r in b.rows]
+        assert results_table(a) == results_table(b)
         assert summary_table(a) == summary_table(b)
 
     def test_parallel_jobs_same_rows(self):
         a = run_benchmark(self.grid())
         b = run_benchmark(self.grid(jobs=4))
-        assert [r.key_fields() for r in a.rows] == [r.key_fields() for r in b.rows]
+        assert results_table(a) == results_table(b)
 
     def test_summary_winner_and_gap(self):
         report = run_benchmark(self.grid())

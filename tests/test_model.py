@@ -7,9 +7,10 @@ Claims:
       unary models hit their targets, and moments grow monotonically in
       the multiplier
     - the analytic dual gradient matches central finite differences
-    - hard fit reaches 1e-6 residuals on extracted problems, the empty fit
-      is the zero-iteration uniform model, duplicated constraints leave
-      the fitted distribution unchanged
+    - hard fit reaches 1e-6 residuals on extracted problems, and 1e-13,
+      where the dual no longer resolves the steps; the empty fit is the
+      zero-iteration uniform model, duplicated constraints leave the
+      fitted distribution unchanged
     - soft fit: residual decreases in beta, approaches the hard fit at
       large beta, tolerates inconsistent targets, drops zero-weight
       constraints
@@ -194,6 +195,16 @@ class TestFitHard:
             model, report = fit_hard(cs)
             assert report.converged, f"k={k} residual {report.residual}"
             assert report.residual <= 1e-6
+
+    def test_tolerance_below_the_dual_resolution(self):
+        # below about 1e-8 a step that shrinks the residual no longer
+        # changes the dual in double precision; the fit still gets there
+        for seed, k in [(1, 3), (2, 4), (3, 5)]:
+            pop = mixture_population(k, 1500, seed=seed)
+            cs = extract_constraints(pop, ExtractionBudget.full())
+            model, report = fit_hard(cs, tol=1e-13)
+            assert report.converged, f"k={k} residual {report.residual}"
+            assert np.abs(model_moments(model) - cs.targets()).max() <= 1e-13
 
     def test_empty_constraints_is_uniform_zero_iterations(self):
         s = schema_of(2, 3)
