@@ -38,7 +38,7 @@ from .model import (
     fit_soft,
     sample_population,
 )
-from .raking import DEFAULT_RAKE_ITERATIONS, rake, sample_weighted
+from .raking import DEFAULT_RAKE_ITERATIONS, _rake, sample_weighted
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -212,16 +212,17 @@ def cmd_rake(args) -> int:
         base = read_population(args.base, schema=cs.schema)
         inputs[str(args.base)] = artifacts.digest_file(args.base)
 
-    wv = rake(cs, iterations=iters, base=base,
-              tol=float(rake_tol) if rake_tol is not None else None,
-              enum_cap=enum_cap)
+    wv, passes, max_dev = _rake(cs, iters, base,
+                                float(rake_tol) if rake_tol is not None else None,
+                                enum_cap)
     resolved = {"command": "rake", "constraints": str(args.constraints),
                 "iters": iters, "enum_cap": enum_cap, "rake_tol": rake_tol,
                 "base": str(args.base) if args.base else None,
                 "size": args.size, "seed": args.seed}
     prov = artifacts.provenance(inputs, resolved)
     artifacts.save_weights(wv, args.out, cs, prov)
-    print(f"raked weights ({iters} max passes) -> {args.out}")
+    print(f"raked weights ({passes} of {iters} passes, last max factor deviation "
+          f"{max_dev:.3g}) -> {args.out}")
 
     if args.size is not None:
         if args.seed is None:

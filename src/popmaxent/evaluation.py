@@ -177,7 +177,7 @@ def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: 
     """
     (pool_seed,) = np.random.SeedSequence(seed).spawn(1)
     pool = unary_pool(constraints, n, pool_seed)
-    weights, max_dev = _rake(
+    weights, _, max_dev = _rake(
         pool_constraints(constraints, pool),
         grid.rake_iterations,
         pool,

@@ -27,6 +27,15 @@ weights once per scope run.  This is algebraically identical to the
 one-constraint-at-a-time update (the unit tests check it against a naive
 reference).
 
+The replay itself is scalar, one constraint at a time, so it runs on
+Python floats: each run's projection is turned into a list once, the
+running per-combination factors are a list, and the factor table goes
+back to numpy once per run.  A numpy scalar costs several times a float
+in such a loop, and both are IEEE doubles, so the weights, pass counts
+and deviations are bit-identical to the same replay on numpy scalars
+(tested against a frozen copy of it).  A closed-form per-run update
+(``cumprod`` over the running factors) would change the rounding.
+
 The benchmark's raking arm rakes a record pool (:func:`unary_pool`,
 :func:`pool_constraints`).  The paper's abstract does not give the record
 set, the pool size, the number of passes, or how fractional weights
@@ -86,7 +95,7 @@ class WeightVector:
 
 
 def _runs(constraints: ConstraintSet):
-    """Consecutive same-scope runs of (flat combo, target, index) triples."""
+    """Consecutive same-scope runs of (flat combo, target, 1 - target, index) items."""
     schema = constraints.schema
     runs = []
     current_scope = None
@@ -108,7 +117,8 @@ def _runs(constraints: ConstraintSet):
         flat = 0
         for v, d in zip(c.pattern.values, scope_shape(schema, scope)):
             flat = flat * d + v
-        runs[-1]["items"].append((flat, c.target, j))
+        target = float(c.target)
+        runs[-1]["items"].append((flat, target, 1.0 - target, j))
     return runs
 
 
@@ -132,77 +142,77 @@ def _rake_array(
         wv = start.reshape(schema.shape)
 
         def project(run):
-            return wv.sum(axis=run["other_axes"]).ravel()
+            return wv.sum(axis=run["other_axes"]).ravel().tolist()
 
         def scale(run, fac):
-            np.multiply(wv, fac.reshape(run["bshape"]), out=wv)
+            np.multiply(wv, np.array(fac).reshape(run["bshape"]), out=wv)
     else:
         wv = start
         coords = np.unravel_index(np.asarray(cells, dtype=np.int64), schema.shape)
-        keys = {
-            run["scope"]: np.ravel_multi_index(
+        for run in runs:
+            run["keys"] = np.ravel_multi_index(
                 tuple(coords[a] for a in run["scope"]), run["shape"]
             )
-            for run in runs
-        }
 
         def project(run):
-            return np.bincount(keys[run["scope"]], weights=wv, minlength=run["size"])
+            return np.bincount(run["keys"], weights=wv, minlength=run["size"]).tolist()
 
         def scale(run, fac):
-            np.multiply(wv, fac[keys[run["scope"]]], out=wv)
-
-    def apply(run, gfac, glob):
-        fac = np.full(run["size"], glob)
-        for flat, g in gfac.items():
-            fac[flat] = g * glob
-        scale(run, fac)
+            np.multiply(wv, np.array(fac).take(run["keys"]), out=wv)
 
     for _ in range(iterations):
         max_dev = 0.0
         for run in runs:
+            size = run["size"]
             proj = project(run)
             glob = 1.0
-            gfac: dict[int, float] = {}
-            for flat, target, j in run["items"]:
-                mass = glob * gfac.get(flat, 1.0) * proj[flat]
-                problem = None
-                if mass <= 0.0:
-                    problem = "zero current mass"
-                elif mass >= 1.0 and target < 1.0:
-                    problem = "all current mass (complement target unmatchable)"
-                if problem is not None:
-                    raise UnmatchableConstraintError(
-                        j,
-                        f"constraint {j} (pattern "
-                        f"{constraints.constraints[j].pattern.describe(schema)}, "
-                        f"target {target}) has {problem}",
-                    )
+            gfac = [1.0] * size
+            for flat, target, rest, j in run["items"]:
+                mass = glob * gfac[flat] * proj[flat]
+                if mass <= 0.0 or (mass >= 1.0 and target < 1.0):
+                    raise _unmatchable(constraints, j, mass)
                 # rescale the pattern to its target, its complement to the rest
                 up = target / mass
-                down = (1.0 - target) / (1.0 - mass) if mass < 1.0 else 1.0
+                down = rest / (1.0 - mass) if mass < 1.0 else 1.0
                 if down == 0.0:
                     # target exactly 1: the complement dies, which cannot be
                     # folded into the running factors; apply and restart
-                    apply(run, gfac, glob)
-                    hard = np.zeros(run["size"])
+                    scale(run, [g * glob for g in gfac])
+                    hard = [0.0] * size
                     hard[flat] = up
                     scale(run, hard)
-                    proj = np.zeros(run["size"])
+                    proj = [0.0] * size
                     proj[flat] = 1.0
-                    glob, gfac = 1.0, {}
+                    glob = 1.0
+                    gfac = [1.0] * size
                 else:
-                    gfac[flat] = gfac.get(flat, 1.0) * (up / down)
+                    gfac[flat] *= up / down
                     glob *= down
-                dev = max(abs(up - 1.0), abs(down - 1.0))
+                dev = up - 1.0 if up > 1.0 else 1.0 - up
                 if dev > max_dev:
                     max_dev = dev
-            apply(run, gfac, glob)
+                dev = down - 1.0 if down > 1.0 else 1.0 - down
+                if dev > max_dev:
+                    max_dev = dev
+            scale(run, [g * glob for g in gfac])
         wv /= wv.sum()  # guard float drift across many passes
         passes += 1
         if tol is not None and max_dev <= tol:
             break
     return start, passes, max_dev
+
+
+def _unmatchable(constraints: ConstraintSet, j: int, mass: float) -> UnmatchableConstraintError:
+    c = constraints.constraints[j]
+    problem = (
+        "zero current mass" if mass <= 0.0
+        else "all current mass (complement target unmatchable)"
+    )
+    return UnmatchableConstraintError(
+        j,
+        f"constraint {j} (pattern {c.pattern.describe(constraints.schema)}, "
+        f"target {c.target}) has {problem}",
+    )
 
 
 def _rake(
@@ -211,26 +221,26 @@ def _rake(
     base: Population | None,
     tol: float | None,
     enum_cap: int,
-) -> tuple[WeightVector, float]:
-    """:func:`rake`, plus the largest factor deviation of the last pass."""
+) -> tuple[WeightVector, int, float]:
+    """:func:`rake`, plus the passes run and the largest factor deviation of the last pass."""
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     schema = constraints.schema
     check_cap(schema, enum_cap)
     n = schema.n_cells
     if base is None:
-        w, _, max_dev = _rake_array(constraints, iterations, np.full(n, 1.0 / n), tol)
+        w, passes, max_dev = _rake_array(constraints, iterations, np.full(n, 1.0 / n), tol)
     else:
         if base.schema != schema:
             raise ValidationError("base population schema does not match constraints")
         if base.total == 0:
             raise ValidationError("base population is empty")
-        occupied, _, max_dev = _rake_array(
+        occupied, passes, max_dev = _rake_array(
             constraints, iterations, base.counts / base.total, tol, cells=base.cells
         )
         w = np.zeros(n)
         w[base.cells] = occupied
-    return WeightVector(schema, w), max_dev
+    return WeightVector(schema, w), passes, max_dev
 
 
 def rake(

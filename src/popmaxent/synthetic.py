@@ -21,11 +21,10 @@ def _schema(sizes: list[int]) -> AttributeSchema:
 
 
 def _population_from_matrix(schema: AttributeSchema, rows: np.ndarray) -> Population:
-    shape = schema.shape
-    codes = np.ravel_multi_index(tuple(rows.T), shape)
-    counts = np.bincount(codes, minlength=schema.n_cells)
-    cells = np.flatnonzero(counts)
-    return Population(schema, cells.astype(np.int64), counts[cells].astype(np.int64))
+    # only the occupied cells: a count per cell of a wide space does not fit in memory
+    cells, counts = np.unique(np.ravel_multi_index(tuple(rows.T), schema.shape),
+                              return_counts=True)
+    return Population(schema, cells.astype(np.int64), counts.astype(np.int64))
 
 
 def mixture_population(

@@ -3,6 +3,9 @@
 Deliberately naive: plain dicts, Counters, and per-cell loops, sharing no
 machinery with the package beyond primitive types.  Where a fast
 implementation exists in the package, these stay the slow second route.
+The one exception is :func:`frozen_rake_array`, a frozen copy of an
+earlier fast raking replay that raises the package's own error type, so
+that the two can be compared for bit-identical weights and errors.
 """
 
 import itertools
@@ -10,6 +13,8 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from popmaxent.errors import UnmatchableConstraintError
 
 
 def entropy(freqs):
@@ -117,6 +122,115 @@ def naive_rake(schema, constraints, iterations, start=None, after_update=None):
             if after_update is not None:
                 after_update(j, w.copy())
     return w
+
+
+def frozen_rake_array(constraints, iterations, start, tol, cells=None):
+    """The scope-batched raking replay as it stood before the replay moved
+    to Python floats, kept frozen: numpy scalars, a dict of running factors,
+    and a factor table filled per touched combination.
+
+    Same contract as ``raking._rake_array``: rakes ``start`` in place (dense
+    over the space, or the weights of ``cells`` only) and returns
+    (weights, passes, last max deviation).
+    """
+    schema = constraints.schema
+    shape = schema.shape
+    runs = []
+    current_scope = None
+    for j, c in enumerate(constraints.constraints):
+        scope = c.pattern.scope
+        sshape = tuple(shape[a] for a in scope)
+        if scope != current_scope:
+            runs.append(
+                dict(
+                    scope=scope,
+                    shape=sshape,
+                    size=math.prod(sshape),
+                    bshape=tuple(d if a in scope else 1 for a, d in enumerate(shape)),
+                    other_axes=tuple(a for a in range(len(shape)) if a not in scope),
+                    items=[],
+                )
+            )
+            current_scope = scope
+        flat = 0
+        for v, d in zip(c.pattern.values, sshape):
+            flat = flat * d + v
+        runs[-1]["items"].append((flat, c.target, j))
+
+    max_dev = math.inf
+    passes = 0
+    if cells is None:
+        wv = start.reshape(shape)
+
+        def project(run):
+            return wv.sum(axis=run["other_axes"]).ravel()
+
+        def scale(run, fac):
+            np.multiply(wv, fac.reshape(run["bshape"]), out=wv)
+    else:
+        wv = start
+        coords = np.unravel_index(np.asarray(cells, dtype=np.int64), shape)
+        keys = {
+            run["scope"]: np.ravel_multi_index(
+                tuple(coords[a] for a in run["scope"]), run["shape"]
+            )
+            for run in runs
+        }
+
+        def project(run):
+            return np.bincount(keys[run["scope"]], weights=wv, minlength=run["size"])
+
+        def scale(run, fac):
+            np.multiply(wv, fac[keys[run["scope"]]], out=wv)
+
+    def apply(run, gfac, glob):
+        fac = np.full(run["size"], glob)
+        for flat, g in gfac.items():
+            fac[flat] = g * glob
+        scale(run, fac)
+
+    for _ in range(iterations):
+        max_dev = 0.0
+        for run in runs:
+            proj = project(run)
+            glob = 1.0
+            gfac = {}
+            for flat, target, j in run["items"]:
+                mass = glob * gfac.get(flat, 1.0) * proj[flat]
+                problem = None
+                if mass <= 0.0:
+                    problem = "zero current mass"
+                elif mass >= 1.0 and target < 1.0:
+                    problem = "all current mass (complement target unmatchable)"
+                if problem is not None:
+                    raise UnmatchableConstraintError(
+                        j,
+                        f"constraint {j} (pattern "
+                        f"{constraints.constraints[j].pattern.describe(schema)}, "
+                        f"target {target}) has {problem}",
+                    )
+                up = target / mass
+                down = (1.0 - target) / (1.0 - mass) if mass < 1.0 else 1.0
+                if down == 0.0:
+                    apply(run, gfac, glob)
+                    hard = np.zeros(run["size"])
+                    hard[flat] = up
+                    scale(run, hard)
+                    proj = np.zeros(run["size"])
+                    proj[flat] = 1.0
+                    glob, gfac = 1.0, {}
+                else:
+                    gfac[flat] = gfac.get(flat, 1.0) * (up / down)
+                    glob *= down
+                dev = max(abs(up - 1.0), abs(down - 1.0))
+                if dev > max_dev:
+                    max_dev = dev
+            apply(run, gfac, glob)
+        wv /= wv.sum()
+        passes += 1
+        if tol is not None and max_dev <= tol:
+            break
+    return start, passes, max_dev
 
 
 def product_distribution(schema, unary_freqs):

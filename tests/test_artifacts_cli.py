@@ -10,9 +10,12 @@ Claims:
       respects config-file/flag precedence, requires explicit seeds, and
       maps validation, non-convergence, and capacity errors to exit codes
       2, 3, and 4
+    - ``rake`` prints the passes it ran and its last deviation, so an
+      early stop on ``--rake-tol`` shows
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +243,22 @@ class TestCliPipeline:
         assert main(["rake", str(c), "--out", str(w)]) == 0
         doc = json.loads(w.read_text())
         assert doc["provenance"]["config"]["iters"] == 1000
+
+    def test_rake_prints_the_passes_run(self, tmp_path, problem, capsys):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        capsys.readouterr()
+        w = tmp_path / "w.json"
+        assert main(["rake", str(c), "--out", str(w), "--iters", "500",
+                     "--rake-tol", "1e-12"]) == 0
+        out = capsys.readouterr().out
+        m = re.search(r"raked weights \((\d+) of 500 passes, last max factor "
+                      r"deviation (\S+)\)", out)
+        assert m, out
+        # unary raking from uniform reaches its product fixed point at once
+        assert 1 <= int(m.group(1)) < 500
+        assert float(m.group(2)) <= 1e-12
 
     def test_rake_with_sampling(self, tmp_path, problem):
         _, source = problem

@@ -19,6 +19,10 @@ Claims:
       the same start over the enumerated space, failures included
     - the unary pool follows the unary targets, and only constraints the
       pool can carry are kept for raking
+    - the Python-float replay gives bit-identical weights, pass counts,
+      last deviations and errors to the frozen numpy-scalar replay, on
+      both carriers, through duplicate patterns, the target-1 restart and
+      an early stop
 """
 
 import numpy as np
@@ -49,7 +53,7 @@ from popmaxent.raking import (
 )
 from popmaxent.synthetic import mixture_population
 
-from oracles import naive_rake
+from oracles import frozen_rake_array, naive_rake
 
 
 def schema_of(*sizes):
@@ -247,6 +251,101 @@ class TestSupportPath:
         got = rake(cs, iterations=3, base=base).weights
         assert np.abs(got - enumerated_rake(cs, base, 3)).max() <= 1e-12
         assert got[[0, 1, 4, 5]].sum() == 0.0
+
+
+FOUR = [(0, 0), (0, 1), (1, 0), (1, 1)]  # records leaving A0=c2 empty
+
+
+def replay_both(cs, iterations, start, tol=None, cells=None):
+    """(package, frozen reference) results of one replay from copies of ``start``."""
+    return (
+        _rake_array(cs, iterations, start.copy(), tol, cells),
+        frozen_rake_array(cs, iterations, start.copy(), tol, cells),
+    )
+
+
+def assert_identical(got, ref):
+    assert np.array_equal(got[0], ref[0])
+    assert got[1] == ref[1]
+    assert got[2] == ref[2]
+
+
+class TestFrozenReplay:
+    """The float replay against the frozen numpy-scalar replay, exactly."""
+
+    @staticmethod
+    def uniform(schema):
+        return np.full(schema.n_cells, 1.0 / schema.n_cells)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_extracted_problem_both_carriers(self, seed):
+        source = mixture_population(5, 1500, seed=seed)
+        cs = extract_constraints(source, ExtractionBudget.full())
+        assert_identical(*replay_both(cs, 6, self.uniform(cs.schema)))
+        pool = unary_pool(cs, 60, seed)
+        kept = pool_constraints(cs, pool)
+        got, ref = replay_both(kept, 25, pool.counts / pool.total, cells=pool.cells)
+        assert_identical(got, ref)
+        assert got[1] == 25
+
+    def test_duplicated_pattern(self):
+        s = schema_of(3, 2, 2)
+        # one run repeats a pattern with a new target; a later run repeats it again
+        cs = cs_of(s, [({0: 1, 1: 0}, 0.2), ({0: 2, 1: 1}, 0.3), ({0: 1, 1: 0}, 0.25),
+                       ({2: 1}, 0.4), ({0: 1, 1: 0}, 0.22)])
+        assert_identical(*replay_both(cs, 7, self.uniform(s)))
+        base = Population.from_counts(s, {0: 3, 2: 1, 5: 2, 6: 1, 9: 4, 11: 1})
+        assert_identical(*replay_both(cs, 7, base.counts / base.total, cells=base.cells))
+
+    def test_target_one_restart(self):
+        s = schema_of(3, 2)
+        base = Population.from_counts(s, {0: 2, 1: 1, 2: 1, 3: 1, 4: 3, 5: 1})
+        # mid-run, after factors have been folded, one into the target-1
+        # pattern itself; a second pass would find A0=c0 emptied, so one pass
+        folded = cs_of(s, [({1: 0}, 0.6), ({0: 1}, 0.4), ({0: 0}, 0.3), ({0: 1}, 1.0),
+                           ({1: 1}, 0.5)])
+        # alone in its run, over several passes
+        alone = cs_of(s, [({1: 0}, 0.6), ({0: 1}, 1.0), ({1: 1}, 0.5)])
+        for cs, passes in ((folded, 1), (alone, 4)):
+            got, ref = replay_both(cs, passes, self.uniform(s))
+            assert_identical(got, ref)
+            assert got[0].reshape(3, 2)[[0, 2]].sum() == 0.0  # the complement died
+            got, ref = replay_both(cs, passes, base.counts / base.total, cells=base.cells)
+            assert_identical(got, ref)
+            assert got[0][[0, 1, 4, 5]].sum() == 0.0
+
+    def test_early_stop_on_tol(self):
+        pop = mixture_population(3, 300, seed=11)
+        cs = extract_constraints(pop, ExtractionBudget())
+        got, ref = replay_both(cs, 400, self.uniform(cs.schema), tol=1e-13)
+        assert_identical(got, ref)
+        assert 1 < got[1] < 400
+        assert got[2] <= 1e-13
+        base = Population.from_counts(
+            cs.schema, {c: 1 + c % 3 for c in range(cs.schema.n_cells)})
+        kept = pool_constraints(cs, base)
+        got, ref = replay_both(kept, 400, base.counts / base.total, tol=1e-13,
+                               cells=base.cells)
+        assert_identical(got, ref)
+        assert got[1] < 400
+
+    @pytest.mark.parametrize("sizes, rows, items, index", [
+        ((3, 2), FOUR, [({0: 0}, 0.4), ({0: 2}, 0.2)], 1),             # zero mass
+        ((3, 2), FOUR, [({1: 1}, 0.5), ({0: 2, 1: 0}, 0.3)], 1),       # in a later run
+        ((3, 2), FOUR, [({1: 0}, 0.4), ({0: 0}, 1.0), ({0: 1}, 0.2)], 2),  # after a target 1
+        ((2, 2), [(0, 0), (0, 1)], [({1: 0}, 0.5), ({0: 0}, 0.5)], 1),  # all mass
+    ])
+    def test_unmatchable_same_index_and_message(self, sizes, rows, items, index):
+        s = schema_of(*sizes)
+        cs = cs_of(s, items)
+        base = Population.from_assignments(s, rows)
+        start = base.counts / base.total
+        with pytest.raises(UnmatchableConstraintError) as got:
+            _rake_array(cs, 2, start.copy(), None, base.cells)
+        with pytest.raises(UnmatchableConstraintError) as ref:
+            frozen_rake_array(cs, 2, start.copy(), None, base.cells)
+        assert got.value.index == ref.value.index == index
+        assert str(got.value) == str(ref.value)
 
 
 class TestUnaryPool:
