@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -266,8 +268,16 @@ class Population:
         return cls.from_counts(schema, acc)
 
     def coords(self) -> np.ndarray:
-        """(K, n_support) array of category indices for the stored cells."""
-        return np.array(np.unravel_index(self.cells, self.schema.shape))
+        """(K, n_support) array of category indices for the stored cells.
+
+        Computed on first use and shared read-only by every later call.
+        """
+        coords = self.__dict__.get("_coords")
+        if coords is None:
+            coords = np.array(np.unravel_index(self.cells, self.schema.shape))
+            coords.flags.writeable = False
+            object.__setattr__(self, "_coords", coords)
+        return coords
 
     def count_of(self, cell: int) -> int:
         i = np.searchsorted(self.cells, cell)
@@ -284,11 +294,9 @@ def _require_nonempty(pop: Population, what: str) -> None:
         raise ValidationError(f"{what} is undefined on an empty population")
 
 
-def marginal(pop: Population, scope: Sequence[int]) -> MarginalTable:
-    """Empirical frequency table of ``pop`` over a 1-3 attribute scope.
-
-    Only combinations observed at least once are stored.
-    """
+def check_scope(pop: Population, scope: Sequence[int]) -> tuple[int, ...]:
+    """``scope`` as a tuple, after checking it names 1-3 distinct attributes
+    of a nonempty population."""
     scope = tuple(scope)
     if not 1 <= len(scope) <= MAX_PATTERN_ARITY:
         raise ValidationError("scope must list 1..3 attributes")
@@ -298,15 +306,53 @@ def marginal(pop: Population, scope: Sequence[int]) -> MarginalTable:
         if not 0 <= a < pop.schema.k:
             raise ValidationError(f"scope attribute index {a} out of range")
     _require_nonempty(pop, "marginal")
+    return scope
 
+
+# index entries per bincount call of scope_counts, so that a batch of many
+# scopes over many stored cells is counted in bounded memory
+_COUNT_CHUNK = 1 << 18
+
+
+def scope_counts(pop: Population, scopes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Dense count tables of ``pop`` over scopes of one domain shape.
+
+    Returns an array of shape ``(len(scopes), *shape)``: entry ``[s, combo]``
+    counts the individuals whose values on ``scopes[s]`` are ``combo``.
+    Counts are exact integers held as floats.  Scopes are not validated.
+    """
+    scopes = np.asarray(scopes, dtype=np.intp)
+    sizes = np.asarray(pop.schema.shape, dtype=np.intp)
+    shape = tuple(int(d) for d in sizes[scopes[0]])
+    if np.any(sizes[scopes] != shape):
+        raise ValidationError("scope_counts needs scopes of one domain shape")
+    size = math.prod(shape)
+    strides = [math.prod(shape[p + 1:]) for p in range(len(shape))]
     coords = pop.coords()
-    shape = tuple(len(pop.schema.domain(a)) for a in scope)
-    flat = np.ravel_multi_index(tuple(coords[a] for a in scope), shape)
-    sums = np.bincount(flat, weights=pop.counts, minlength=int(np.prod(shape)))
+    out = np.empty((len(scopes), size))
+    step = max(1, _COUNT_CHUNK // max(len(pop.cells), 1))
+    for lo in range(0, len(scopes), step):
+        block = scopes[lo:lo + step]
+        key = np.repeat(np.arange(len(block)) * size, len(pop.cells)).reshape(len(block), -1)
+        for p, stride in enumerate(strides):
+            key += coords[block[:, p]] * stride
+        out[lo:lo + step] = np.bincount(
+            key.ravel(), weights=np.tile(pop.counts, len(block)), minlength=len(block) * size
+        ).reshape(len(block), size)
+    return out.reshape(len(scopes), *shape)
+
+
+def marginal(pop: Population, scope: Sequence[int]) -> MarginalTable:
+    """Empirical frequency table of ``pop`` over a 1-3 attribute scope.
+
+    Only combinations observed at least once are stored.
+    """
+    scope = check_scope(pop, scope)
+    sums = scope_counts(pop, [scope])[0]
     cells = {}
-    for idx in np.flatnonzero(sums):
-        combo = tuple(int(c) for c in np.unravel_index(idx, shape))
-        cells[combo] = float(sums[idx]) / pop.total
+    for combo in zip(*np.nonzero(sums)):
+        combo = tuple(int(c) for c in combo)
+        cells[combo] = float(sums[combo]) / pop.total
     return MarginalTable(scope, cells)
 
 
@@ -346,7 +392,7 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
         raise ValidationError("population file has no header row")
     delim = _detect_delimiter(lines[0])
     reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delim)
-    rows = list(reader)
+    rows = list(map(tuple, reader))
     header = [h.strip() for h in rows[0]]
     counted = bool(header) and header[-1] == COUNT_COLUMN
     names = header[:-1] if counted else header
@@ -364,20 +410,29 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
     else:
         lookup = [{} for _ in names]
 
-    body: list[tuple[tuple[int, ...], int]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"row {lineno} has {len(row)} fields, expected {len(header)}"
-            )
+    body = rows[1:]
+    # a row of the wrong width ends the parse: errors in earlier rows come first
+    ragged = next((n for n, row in enumerate(body) if len(row) != len(header)), None)
+    if ragged is not None:
+        body = body[:ragged]
+    # Each distinct row is parsed once, in order of first appearance, which
+    # is the order in which a row-by-row parse would meet its errors.
+    occurrences = Counter(body)
+    assignments: list[list[int]] = []
+    mults: list[int] = []
+    for row, times in occurrences.items():
         if counted:
             raw = row[-1].strip()
             try:
                 mult = int(raw)
             except ValueError:
-                raise ValidationError(f"row {lineno}: bad {COUNT_COLUMN} value {raw!r}") from None
+                raise ValidationError(
+                    f"row {body.index(row) + 2}: bad {COUNT_COLUMN} value {raw!r}"
+                ) from None
             if mult < 1:
-                raise ValidationError(f"row {lineno}: {COUNT_COLUMN} must be >= 1, got {mult}")
+                raise ValidationError(
+                    f"row {body.index(row) + 2}: {COUNT_COLUMN} must be >= 1, got {mult}"
+                )
             values = row[:-1]
         else:
             mult = 1
@@ -392,9 +447,15 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
                 assignment.append(lookup[col][label])
             else:
                 raise ValidationError(
-                    f"row {lineno}: unseen category {label!r} for attribute {names[col]!r}"
+                    f"row {body.index(row) + 2}: unseen category {label!r} "
+                    f"for attribute {names[col]!r}"
                 )
-        body.append((tuple(assignment), mult))
+        assignments.append(assignment)
+        mults.append(mult * times)
+    if ragged is not None:
+        raise ValidationError(
+            f"row {ragged + 2} has {len(rows[ragged + 1])} fields, expected {len(header)}"
+        )
 
     if schema is None:
         domains = []
@@ -403,11 +464,13 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
             domains.append((name, ordered))
         schema = AttributeSchema.from_domains(domains)
 
-    acc: dict[int, int] = {}
-    for assignment, mult in body:
-        code = encode_cell(schema, assignment)
-        acc[code] = acc.get(code, 0) + mult
-    return Population.from_counts(schema, acc)
+    codes = np.ravel_multi_index(
+        np.array(assignments, dtype=np.intp).reshape(-1, schema.k).T, schema.shape
+    )
+    cells, inverse = np.unique(codes, return_inverse=True)
+    counts = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(counts, inverse, np.array(mults, dtype=np.int64))
+    return Population(schema, cells.astype(np.int64), counts)
 
 
 def read_population(path, schema: AttributeSchema | None = None) -> Population:
@@ -429,9 +492,10 @@ def population_text(
     names = list(pop.schema.names)
     writer = csv.writer(out, delimiter=",", lineterminator="\n")
     writer.writerow(names + [COUNT_COLUMN] if counted else names)
-    coords = pop.coords()
+    # not pop.coords(): writing a sample out should not keep its coordinates cached
+    coords = np.unravel_index(pop.cells, pop.schema.shape)
     for i in range(len(pop.cells)):
-        labels = [pop.schema.domain(a)[coords[a, i]] for a in range(pop.schema.k)]
+        labels = [pop.schema.domain(a)[coords[a][i]] for a in range(pop.schema.k)]
         if counted:
             writer.writerow(labels + [int(pop.counts[i])])
         else:

@@ -26,12 +26,11 @@ from .extraction import ConstraintSet
 from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard
 from .raking import (
     DEFAULT_RAKE_ITERATIONS,
-    WeightVector,
     _rake,
     pool_constraints,
-    sample_weighted,
     unary_pool,
 )
+from .sampling import AliasTable, draw_population
 
 METHODS = ("maxent", "raking")
 
@@ -191,14 +190,15 @@ def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: 
 def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
     """Sweep the grid and score one sampled population per (problem, method, n, seed).
 
-    The maxent arm fits once per problem and samples per (n, seed).  The
+    The maxent arm fits once per problem, builds one alias table over the
+    fitted distribution, and samples it per (n, seed).  The
     raking arm is record-level generalized raking, run per grid cell: a
     pool of n candidate records drawn from the unary max-ent distribution
     (:func:`~popmaxent.raking.unary_pool`) has its weights raked toward
     the constraints the pool can carry
     (:func:`~popmaxent.raking.pool_constraints`); every constraint is
-    still scored.  Both arms draw their n individuals i.i.d. with
-    :func:`~popmaxent.raking.sample_weighted` under the cell's seed.
+    still scored.  Both arms draw their n individuals i.i.d. as
+    :func:`~popmaxent.raking.sample_weighted` does, under the cell's seed.
 
     Fit failures and per-cell raking failures are recorded in the report
     instead of raised.  Rows come back in deterministic grid order
@@ -217,20 +217,22 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
                         cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter,
                         enum_cap=grid.enum_cap,
                     )
-                    fitted = (WeightVector(cs.schema, model.probabilities()), fit.converged)
+                    # one alias table per problem, shared by every cell's draws
+                    fitted = (AliasTable(model.probabilities()), fit.converged)
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     failures.append(f"{problem.name}/{method}: fit failed: {exc}")
                     continue
 
             def cell_job(n: int, seed: int):
                 if method == "maxent":
-                    weights, converged = fitted
+                    table, converged = fitted
                 else:
                     try:
                         weights, converged = _raking_cell(cs, grid, n, seed)
                     except PopmaxentError as exc:  # recorded, not fatal
                         return f"{problem.name}/{method}/n={n}/seed={seed}: raking failed: {exc}"
-                synth = sample_weighted(weights, n, seed)
+                    table = AliasTable(weights.weights)
+                synth = draw_population(cs.schema, table, n, seed)
                 scored = mre(synth, cs)
                 by_arity = {a: scored.per_arity.get(a, math.nan) for a in (1, 2, 3)}
                 return BenchmarkRow(

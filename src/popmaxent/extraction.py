@@ -25,7 +25,8 @@ from .core import (
     MarginalTable,
     Pattern,
     Population,
-    marginal,
+    check_scope,
+    scope_counts,
 )
 from .errors import ConvergenceError, ValidationError
 
@@ -160,9 +161,39 @@ class ConstraintSet:
                 )
 
 
-def _entropy(freqs: np.ndarray) -> float:
-    p = freqs[freqs > 0]
-    return float(-(p * np.log(p)).sum())
+def _support_sums(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row r of two (R, n) arrays, ``values[r][keep[r]].sum()``.
+
+    Each row's kept entries are packed to the front in order, and rows
+    with the same number of them are summed together, so every sum runs
+    over the same contiguous entries, in the same order, as the gathered
+    row's own sum would.
+    """
+    sizes = keep.sum(axis=1)
+    packed = np.take_along_axis(values, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    out = np.zeros(len(values))
+    for size in np.unique(sizes):
+        rows = sizes == size
+        out[rows] = packed[rows, :size].sum(axis=1)
+    return out
+
+
+def _entropies(freqs: np.ndarray) -> np.ndarray:
+    """Entropy (nats) of each row of an (R, n) frequency array."""
+    support = freqs > 0.0
+    return -_support_sums(freqs * np.log(np.where(support, freqs, 1.0)), support)
+
+
+def _nmi_scores(joint: np.ndarray) -> np.ndarray:
+    """NMI of each (di, dj) joint frequency table of a (P, di, dj) array."""
+    hi = _entropies(joint.sum(axis=2))
+    hj = _entropies(joint.sum(axis=1))
+    hij = _entropies(joint.reshape(len(joint), -1))
+    mi = hi + hj - hij
+    mi = np.where(mi < 0.0, 0.0, mi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = mi / (0.5 * (hi + hj))
+    return np.where((hi <= 0.0) | (hj <= 0.0), 0.0, score)
 
 
 def nmi(pop: Population, i: int, j: int) -> float:
@@ -174,14 +205,74 @@ def nmi(pop: Population, i: int, j: int) -> float:
     """
     if i == j:
         raise ValidationError("nmi needs two distinct attributes")
-    joint = marginal(pop, (i, j)).to_dense(pop.schema)
-    pi = joint.sum(axis=1)
-    pj = joint.sum(axis=0)
-    hi, hj, hij = _entropy(pi), _entropy(pj), _entropy(joint)
-    if hi <= 0.0 or hj <= 0.0:
-        return 0.0
-    mi = max(hi + hj - hij, 0.0)
-    return mi / (0.5 * (hi + hj))
+    scope = check_scope(pop, (i, j))
+    return float(_nmi_scores(scope_counts(pop, [scope]) / pop.total)[0])
+
+
+# the position pairs of a triple, and the batch axis each one sums out of a
+# (T, d1, d2, d3) joint
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SUMMED = (3, 2, 1)
+
+
+def _ipf(
+    targets: Sequence[np.ndarray], tol: float, max_sweeps: int
+) -> tuple[np.ndarray, dict[int, ConvergenceError]]:
+    """Cyclic IPF of a batch of T triples of one domain shape (d1, d2, d3).
+
+    ``targets`` holds the (T, d1, d2), (T, d1, d3) and (T, d2, d3) pairwise
+    tables of positions (0, 1), (0, 2) and (1, 2).  Every triple runs the
+    sweeps it would run alone, with the same operations in the same order,
+    and leaves the batch at the sweep where its own residual drops below
+    ``tol``.  Returns the (T, d1, d2, d3) joints and a map from the batch
+    index of each triple that failed to its :class:`ConvergenceError`; a
+    failed triple's joint is NaN.
+    """
+    targets = list(targets)
+    shape = (*targets[0].shape[1:], targets[1].shape[2])
+    out = np.full((len(targets[0]), *shape), np.nan)
+    errors: dict[int, ConvergenceError] = {}
+    rows = np.arange(len(out))  # batch index of each triple still sweeping
+    joint = np.full(out.shape, 1.0 / math.prod(shape))
+    residual = np.full(len(out), math.inf)
+
+    def keep_only(keep):
+        nonlocal rows, joint, targets, residual
+        rows, joint, residual = rows[keep], joint[keep], residual[keep]
+        targets = [t[keep] for t in targets]
+
+    for _ in range(max_sweeps):
+        if not rows.size:
+            break
+        for p, axis in enumerate(_SUMMED):
+            proj = joint.sum(axis=axis)
+            dead = ((proj <= 0.0) & (targets[p] > 0.0)).any(axis=(1, 2))
+            if dead.any():
+                gap = np.abs(proj - targets[p]).max(axis=(1, 2))
+                for r in np.flatnonzero(dead):
+                    errors[int(rows[r])] = ConvergenceError(
+                        "ipf_fit: positive pairwise target over zero current mass",
+                        residual=float(gap[r]),
+                    )
+                keep_only(~dead)
+                proj = proj[~dead]
+            t = targets[p]
+            ratio = np.divide(t, proj, out=np.zeros_like(t), where=proj > 0.0)
+            joint *= np.expand_dims(ratio, axis=axis)
+        residual = np.max(
+            [np.abs(joint.sum(axis=axis) - t).max(axis=(1, 2))
+             for axis, t in zip(_SUMMED, targets)],
+            axis=0,
+        )
+        done = residual < tol
+        out[rows[done]] = joint[done]
+        keep_only(~done)
+    for row, res in zip(rows, residual):
+        errors[int(row)] = ConvergenceError(
+            f"ipf_fit did not reach tolerance {tol} within {max_sweeps} sweeps",
+            residual=float(res),
+        )
+    return out, errors
 
 
 def ipf_fit(
@@ -199,6 +290,7 @@ def ipf_fit(
     the largest absolute projection error drops below ``tol``.  The result
     is the maximum-entropy distribution with those pairwise margins and is
     strictly positive wherever all three pairwise targets are positive.
+    This is the one-triple call of the batched kernel extraction runs.
 
     Raises :class:`ConvergenceError` (carrying the residual) if the sweep
     cap is hit first.
@@ -206,7 +298,6 @@ def ipf_fit(
     scope = tuple(scope)
     if len(scope) != 3 or len(set(scope)) != 3:
         raise ValidationError("ipf_fit expects a scope of three distinct attributes")
-    shape = tuple(len(schema.domain(a)) for a in scope)
 
     targets: dict[tuple[int, int], np.ndarray] = {}
     for mt in pairwise:
@@ -217,36 +308,23 @@ def ipf_fit(
         if mt.scope != tuple(scope[p] for p in pos):
             dense = dense.T
         targets[pos] = dense
-    expected = {(0, 1), (0, 2), (1, 2)}
-    if set(targets) != expected:
+    if set(targets) != set(_PAIRS):
         raise ValidationError("ipf_fit needs the three distinct pairwise marginals")
 
-    joint = np.full(shape, 1.0 / math.prod(shape))
-    pairs = sorted(targets)
-    residual = math.inf
-    for _ in range(max_sweeps):
-        for pos in pairs:
-            other = next(ax for ax in range(3) if ax not in pos)
-            proj = joint.sum(axis=other)
-            t = targets[pos]
-            if np.any((proj <= 0.0) & (t > 0.0)):
-                raise ConvergenceError(
-                    "ipf_fit: positive pairwise target over zero current mass",
-                    residual=float(np.abs(proj - t).max()),
-                )
-            ratio = np.divide(t, proj, out=np.zeros_like(t), where=proj > 0.0)
-            joint *= np.expand_dims(ratio, axis=other)
-        residual = max(
-            float(np.abs(joint.sum(axis=next(ax for ax in range(3) if ax not in pos))
-                         - targets[pos]).max())
-            for pos in pairs
-        )
-        if residual < tol:
-            return joint
-    raise ConvergenceError(
-        f"ipf_fit did not reach tolerance {tol} within {max_sweeps} sweeps",
-        residual=residual,
-    )
+    joint, errors = _ipf([targets[pos][None] for pos in _PAIRS], tol, max_sweeps)
+    if errors:
+        raise errors[0]
+    return joint[0]
+
+
+def _kl_scores(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL divergence of each row of an (R, n) array p from the same row of q."""
+    support = p > 0.0
+    if np.any(q[support] <= 0.0):
+        raise ValidationError("kl_divergence: q vanishes on the support of p")
+    logs = np.log(np.divide(p, q, out=np.ones(p.shape), where=support))
+    sums = _support_sums(p * logs, support)
+    return np.where(sums > 0.0, sums, 0.0)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -255,18 +333,54 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValidationError("kl_divergence needs distributions over the same cells")
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        raise ValidationError("kl_divergence: q vanishes on the support of p")
-    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    return float(_kl_scores(p.reshape(1, -1), q.reshape(1, -1))[0])
 
 
-def _triple_score(pop: Population, triple: tuple[int, int, int]) -> float:
-    i, j, k = triple
-    observed = marginal(pop, triple).to_dense(pop.schema)
-    pairwise = [marginal(pop, (i, j)), marginal(pop, (i, k)), marginal(pop, (j, k))]
-    reference = ipf_fit(pop.schema, triple, pairwise)
-    return kl_divergence(observed, reference)
+def _tabulate(pop: Population, candidates: Sequence[tuple[int, ...]],
+              tables: dict[tuple[int, ...], np.ndarray], score=None) -> list[float]:
+    """Count every candidate scope's frequency table once, into ``tables``.
+
+    Candidates are grouped by domain shape; ``score(indices, freqs)``
+    scores one group in a batch, given the group's indices into
+    ``candidates`` and its (n, *shape) frequency tables.
+    """
+    shape = pop.schema.shape
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n, scope in enumerate(candidates):
+        groups.setdefault(tuple(shape[a] for a in scope), []).append(n)
+    scores = [0.0] * len(candidates)
+    for idx in groups.values():
+        freqs = scope_counts(pop, [candidates[n] for n in idx]) / pop.total
+        tables.update(zip((candidates[n] for n in idx), freqs))
+        if score is not None:
+            for n, value in zip(idx, score(idx, freqs)):
+                scores[n] = float(value)
+    return scores
+
+
+def _triple_scores(pop: Population, triples: Sequence[tuple[int, int, int]],
+                   tables: dict[tuple[int, ...], np.ndarray]) -> list[float]:
+    """KL of each triple's observed table from its pairwise IPF reference.
+
+    ``tables`` must hold the frequency tables of the triples' pairs; it
+    gains the triples' own.  A failed IPF raises the error that scoring
+    one triple at a time, in the given order, meets first.
+    """
+    failures: dict[int, ConvergenceError] = {}
+
+    def kl_ipf(idx, observed):
+        group = [triples[n] for n in idx]
+        targets = [np.stack([tables[(t[a], t[b])] for t in group]) for a, b in _PAIRS]
+        joint, errors = _ipf(targets, IPF_TOL, IPF_MAX_SWEEPS)
+        failures.update((idx[r], err) for r, err in errors.items())
+        if failures:
+            return [math.nan] * len(idx)
+        return _kl_scores(observed.reshape(len(idx), -1), joint.reshape(len(idx), -1))
+
+    scores = _tabulate(pop, triples, tables, kl_ipf)
+    if failures:
+        raise failures[min(failures)]
+    return scores
 
 
 def _rank(scored: list[tuple[tuple[int, ...], float]], k: int) -> list[tuple[int, ...]]:
@@ -283,6 +397,12 @@ def extract_constraints(pop: Population, budget: ExtractionBudget) -> Constraint
     top triples by KL against the pairwise IPF reference, and each observed
     combination of a retained marginal becomes one atomic constraint whose
     target is its exact empirical frequency.
+
+    Every candidate scope's count table is built once.  Candidates are
+    scored in batches of one domain shape: NMI over all pair tables at
+    once, and one IPF over a (T, d1, d2, d3) array per triple shape.  The
+    scores are bit-identical to scoring each candidate alone with
+    :func:`nmi`, :func:`ipf_fit` and :func:`kl_divergence`.
     """
     schema = pop.schema
     if pop.total == 0:
@@ -290,34 +410,36 @@ def extract_constraints(pop: Population, budget: ExtractionBudget) -> Constraint
 
     scopes: list[RetainedScope] = []
     constraints: list[AtomicConstraint] = []
-    scope_scores: dict[tuple[int, ...], float] = {}
+    tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def emit(scope: tuple[int, ...], score: float, method: str) -> None:
-        table = marginal(pop, scope)
+        table = tables[scope]
         sid = len(scopes)
         scopes.append(RetainedScope(scope, score, method))
-        for combo in sorted(table.cells):
+        for combo in zip(*np.nonzero(table)):
+            combo = tuple(int(v) for v in combo)
             pattern = Pattern.of(dict(zip(scope, combo)))
-            constraints.append(AtomicConstraint(pattern, table.cells[combo], sid))
+            constraints.append(AtomicConstraint(pattern, float(table[combo]), sid))
 
-    for i in range(schema.k):
-        emit((i,), 0.0, "unary")
+    def retain(candidates, scores, arity_budget: ArityBudget, method: str) -> None:
+        by_scope = dict(zip(candidates, scores))
+        retained = _rank(list(by_scope.items()), arity_budget.resolve(len(candidates)))
+        for scope in sorted(retained):
+            emit(scope, by_scope[scope], method)
 
+    unary = [(i,) for i in range(schema.k)]
+    _tabulate(pop, unary, tables)
+    for scope in unary:
+        emit(scope, 0.0, "unary")
+
+    if budget.binary is not None or budget.ternary is not None:
+        pairs = list(combinations(range(schema.k), 2))
+        pair_scores = _tabulate(pop, pairs, tables, lambda idx, joint: _nmi_scores(joint))
     if budget.binary is not None:
-        candidates = list(combinations(range(schema.k), 2))
-        scored = [(pair, nmi(pop, *pair)) for pair in candidates]
-        scope_scores.update(dict(scored))
-        retained = _rank(scored, budget.binary.resolve(len(candidates)))
-        for pair in sorted(retained):
-            emit(pair, scope_scores[pair], "nmi")
-
+        retain(pairs, pair_scores, budget.binary, "nmi")
     if budget.ternary is not None:
-        candidates = list(combinations(range(schema.k), 3))
-        scored = [(triple, _triple_score(pop, triple)) for triple in candidates]
-        scope_scores.update(dict(scored))
-        retained = _rank(scored, budget.ternary.resolve(len(candidates)))
-        for triple in sorted(retained):
-            emit(triple, scope_scores[triple], "kl_ipf")
+        triples = list(combinations(range(schema.k), 3))
+        retain(triples, _triple_scores(pop, triples, tables), budget.ternary, "kl_ipf")
 
     out = ConstraintSet(schema, tuple(constraints), tuple(scopes))
     out.validate()

@@ -30,7 +30,7 @@ from ._dense import DEFAULT_ENUM_CAP, check_cap
 from .core import AttributeSchema, Pattern, Population
 from .errors import ValidationError
 from .extraction import ConstraintSet
-from .sampling import draw_cells
+from .sampling import AliasTable, draw_population
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
@@ -313,11 +313,7 @@ def fit_soft(
 
 def sample_population(model: MaxEntModel, n: int, seed: int) -> Population:
     """n i.i.d. draws from the model as an integer population."""
-    p = model.probabilities()
-    draws = draw_cells(p, n, seed)
-    counts = np.bincount(draws, minlength=p.size)
-    cells = np.flatnonzero(counts)
-    return Population(model.schema, cells.astype(np.int64), counts[cells].astype(np.int64))
+    return draw_population(model.schema, AliasTable(model.probabilities()), n, seed)
 
 
 # ---------------------------------------------------------------------------

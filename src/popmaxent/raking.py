@@ -63,7 +63,7 @@ from ._dense import (
 from .core import AttributeSchema, Population
 from .errors import UnmatchableConstraintError, ValidationError
 from .extraction import ConstraintSet
-from .sampling import draw_cells
+from .sampling import AliasTable, draw_population
 
 DEFAULT_RAKE_ITERATIONS = 1000
 
@@ -327,7 +327,4 @@ def pool_constraints(constraints: ConstraintSet, pool: Population) -> Constraint
 
 def sample_weighted(w: WeightVector, n: int, seed: int) -> Population:
     """n i.i.d. draws from the weight distribution as an integer population."""
-    draws = draw_cells(w.weights, n, seed)
-    counts = np.bincount(draws, minlength=w.weights.size)
-    cells = np.flatnonzero(counts)
-    return Population(w.schema, cells.astype(np.int64), counts[cells].astype(np.int64))
+    return draw_population(w.schema, AliasTable(w.weights), n, seed)

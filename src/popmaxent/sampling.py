@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import AttributeSchema, Population
 from .errors import ValidationError
 
 
@@ -51,9 +52,10 @@ class AliasTable:
         return np.where(u < self._prob[idx], idx, self._alias[idx])
 
 
-def draw_cells(weights: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. category indices from the normalized weight vector."""
+def draw_population(schema: AttributeSchema, table: AliasTable, n: int, seed: int) -> Population:
+    """n i.i.d. cells drawn from ``table`` under ``default_rng(seed)``, as a population."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return AliasTable(weights).draw(rng, n)
+    counts = np.bincount(table.draw(np.random.default_rng(seed), n), minlength=table.n)
+    cells = np.flatnonzero(counts)
+    return Population(schema, cells.astype(np.int64), counts[cells].astype(np.int64))

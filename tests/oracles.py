@@ -3,9 +3,12 @@
 Deliberately naive: plain dicts, Counters, and per-cell loops, sharing no
 machinery with the package beyond primitive types.  Where a fast
 implementation exists in the package, these stay the slow second route.
-The one exception is :func:`frozen_rake_array`, a frozen copy of an
-earlier fast raking replay that raises the package's own error type, so
-that the two can be compared for bit-identical weights and errors.
+The exceptions are frozen copies of earlier fast paths, kept so that the
+package's current paths can be compared with them bit for bit:
+:func:`frozen_rake_array` (the numpy-scalar raking replay) and
+:func:`frozen_nmi`, :func:`frozen_ipf_fit` and :func:`frozen_triple_score`
+(pair and triple scoring one candidate at a time).  They raise the
+package's own error types, so that errors compare too.
 """
 
 import itertools
@@ -14,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from popmaxent.errors import UnmatchableConstraintError
+from popmaxent.errors import ConvergenceError, UnmatchableConstraintError
 
 
 def entropy(freqs):
@@ -231,6 +234,88 @@ def frozen_rake_array(constraints, iterations, start, tol, cells=None):
         if tol is not None and max_dev <= tol:
             break
     return start, passes, max_dev
+
+
+def frozen_dense_marginal(pop, scope):
+    """Dense frequency table of ``pop`` over ``scope``, as ``marginal(...)
+    .to_dense(...)`` computed it one scope at a time: coordinates, then a
+    weighted ``bincount``, then each count over the total."""
+    coords = np.array(np.unravel_index(pop.cells, pop.schema.shape))
+    shape = tuple(len(pop.schema.domain(a)) for a in scope)
+    flat = np.ravel_multi_index(tuple(coords[a] for a in scope), shape)
+    sums = np.bincount(flat, weights=pop.counts, minlength=int(np.prod(shape)))
+    out = np.zeros(shape)
+    for idx in np.flatnonzero(sums):
+        out[np.unravel_index(idx, shape)] = float(sums[idx]) / pop.total
+    return out
+
+
+def _frozen_entropy(freqs):
+    p = freqs[freqs > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def frozen_nmi(pop, i, j):
+    """Pair NMI as scored one pair at a time before batched scoring."""
+    joint = frozen_dense_marginal(pop, (i, j))
+    hi, hj = _frozen_entropy(joint.sum(axis=1)), _frozen_entropy(joint.sum(axis=0))
+    hij = _frozen_entropy(joint)
+    if hi <= 0.0 or hj <= 0.0:
+        return 0.0
+    return max(hi + hj - hij, 0.0) / (0.5 * (hi + hj))
+
+
+def frozen_ipf_fit(targets, tol=1e-10, max_sweeps=10_000):
+    """The one-triple IPF loop as it stood before batched scoring.
+
+    ``targets`` maps the position pairs (0, 1), (0, 2) and (1, 2) to dense
+    pairwise tables.  Raises the package's ``ConvergenceError``.
+    """
+    shape = (targets[(0, 1)].shape[0], targets[(0, 1)].shape[1], targets[(0, 2)].shape[1])
+    joint = np.full(shape, 1.0 / math.prod(shape))
+    pairs = sorted(targets)
+    residual = math.inf
+    for _ in range(max_sweeps):
+        for pos in pairs:
+            other = next(ax for ax in range(3) if ax not in pos)
+            proj = joint.sum(axis=other)
+            t = targets[pos]
+            if np.any((proj <= 0.0) & (t > 0.0)):
+                raise ConvergenceError(
+                    "ipf_fit: positive pairwise target over zero current mass",
+                    residual=float(np.abs(proj - t).max()),
+                )
+            ratio = np.divide(t, proj, out=np.zeros_like(t), where=proj > 0.0)
+            joint *= np.expand_dims(ratio, axis=other)
+        residual = max(
+            float(np.abs(joint.sum(axis=next(ax for ax in range(3) if ax not in pos))
+                         - targets[pos]).max())
+            for pos in pairs
+        )
+        if residual < tol:
+            return joint
+    raise ConvergenceError(
+        f"ipf_fit did not reach tolerance {tol} within {max_sweeps} sweeps",
+        residual=residual,
+    )
+
+
+def frozen_kl(p, q):
+    mask = p > 0.0
+    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+
+
+def frozen_triple_score(pop, triple):
+    """Phase-3 score of one triple as computed before batched scoring: the
+    dense observed and pairwise marginals, one IPF, then KL."""
+    i, j, k = triple
+    observed = frozen_dense_marginal(pop, triple)
+    targets = {
+        (0, 1): frozen_dense_marginal(pop, (i, j)),
+        (0, 2): frozen_dense_marginal(pop, (i, k)),
+        (1, 2): frozen_dense_marginal(pop, (j, k)),
+    }
+    return frozen_kl(observed, frozen_ipf_fit(targets))
 
 
 def product_distribution(schema, unary_freqs):

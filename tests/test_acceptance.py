@@ -249,6 +249,7 @@ def test_criterion_7_sampling_concentration():
            f"N=1e5, ratio {ratio:.3f} (<= 0.333), {elapsed:.1f}s (< 120s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_metropolis_consistency():
     """Metropolis moment estimates at 1e6 sweeps within 0.01 of exact
     moments on a fitted K=4 model, for 3 seeds."""
@@ -265,6 +266,7 @@ def test_criterion_8_metropolis_consistency():
            f"max |MCMC - exact| over 3 seeds: {['%.4f' % d for d in devs]} (< 0.01)")
 
 
+@pytest.mark.slow
 def test_criterion_9_benchmark_trend():
     """Table-3 trend at desk scale: maxent beats raking at N=100 on a dense-
     ternary 12-attribute problem in >= 8 of 10 seeds, advantage widening on

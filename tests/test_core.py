@@ -9,6 +9,10 @@ Claims:
       sum their support sizes
     - delimited ingestion fixes domains in first-appearance order, handles
       counted form, comment headers, and rejects unseen categories
+    - on random files (counted, uncounted, tab-separated, commented, padded
+      labels) ingestion equals Population.from_assignments, and each error
+      names the row a row-by-row parse meets first
+    - a population's coordinates are computed once and read-only
 """
 
 import itertools
@@ -274,3 +278,96 @@ class TestIngestion:
         # a one-category domain cannot form a valid schema
         with pytest.raises(ValidationError):
             read_population_text("A,B\nx,0\nx,1\n")
+
+
+def _random_file(rng, counted, delim, comments):
+    """A random population file and the (schema, rows) it encodes."""
+    k = int(rng.integers(1, 5))
+    labels = [[f"v{a}{j}" for j in range(int(rng.integers(2, 5)))] for a in range(k)]
+    n = int(rng.integers(0, 60))
+    # every column sees at least two categories, so the schema is valid
+    rows = [(0,) * k, (1,) * k]
+    rows += [tuple(int(rng.integers(0, len(d))) for d in labels) for _ in range(n)]
+    rng.shuffle(rows)
+    mults = [int(rng.integers(1, 4)) if counted else 1 for _ in rows]
+    header = [f"A{a}" for a in range(k)] + (["__count"] if counted else [])
+    lines = ["# generated", delim.join(header)]
+    for row, mult in zip(rows, mults):
+        if comments and rng.random() < 0.2:
+            lines.append("  # a comment line")
+        if rng.random() < 0.1:
+            lines.append("")
+        cells = [(" " if rng.random() < 0.3 else "") + labels[a][v] for a, v in enumerate(row)]
+        lines.append(delim.join(cells + ([f" {mult}"] if counted else [])))
+    seen = [dict.fromkeys(labels[a][row[a]] for row in rows) for a in range(k)]
+    schema = AttributeSchema.from_domains((f"A{a}", list(seen[a])) for a in range(k))
+    expanded = [
+        tuple(list(seen[a]).index(labels[a][v]) for a, v in enumerate(row))
+        for row, mult in zip(rows, mults) for _ in range(mult)
+    ]
+    return "\n".join(lines) + "\n", schema, expanded
+
+
+class TestVectorIngest:
+    @pytest.mark.parametrize("counted", [False, True])
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    @pytest.mark.parametrize("comments", [False, True])
+    def test_random_files_equal_from_assignments(self, counted, delim, comments):
+        rng = np.random.default_rng([counted, delim == "\t", comments])
+        for _ in range(30):
+            text, schema, rows = _random_file(rng, counted, delim, comments)
+            want = Population.from_assignments(schema, rows)
+            got = read_population_text(text)
+            assert got.schema == schema
+            assert got.equals(want)
+            assert read_population_text(text, schema=schema).equals(want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("A,B\nx,0\ny,1\nz,0\n", "row 4: unseen category 'z' for attribute 'A'"),
+        ("A,B\nx,0\ny, 2\nz,0\n", "row 3: unseen category '2' for attribute 'B'"),
+        # the earlier row wins, whatever the column
+        ("A,B\nx,0\nx,2\nz,0\n", "row 3: unseen category '2' for attribute 'B'"),
+        # within a row, the first column wins
+        ("A,B\nx,0\nz,2\n", "row 3: unseen category 'z' for attribute 'A'"),
+        # a row of the wrong width after an unseen category
+        ("A,B\nz,0\nx\n", "row 2: unseen category 'z' for attribute 'A'"),
+        ("A,B\nx,0\nx\nz,0\n", "row 3 has 1 fields, expected 2"),
+        # repeated rows before the error still count
+        ("A,B\nx,0\nx,0\ny,1\nx,0\nz,0\n", "row 6: unseen category 'z' for attribute 'A'"),
+    ])
+    def test_errors_with_a_schema(self, text, message):
+        schema = read_population_text("A,B\nx,0\ny,1\n").schema
+        with pytest.raises(ValidationError) as info:
+            read_population_text(text, schema=schema)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("A,B,__count\nx,0,2\ny,1, zero \n", "row 3: bad __count value 'zero'"),
+        ("A,B,__count\nx,0,0\ny,1,2\n", "row 2: __count must be >= 1, got 0"),
+        ("A,B,__count\nx,0,2\ny,1,-3\nx,1,x\n", "row 3: __count must be >= 1, got -3"),
+        # a row's count is checked before its labels
+        ("A,B,__count\nx,0,1\nz,1,0\n", "row 3: __count must be >= 1, got 0"),
+        ("A,B,__count\nz,0,1\nx,1,0\n", "row 2: unseen category 'z' for attribute 'A'"),
+        ("A,B,__count\nx,0\nx,1,0\n", "row 2 has 2 fields, expected 3"),
+        ("A,B,__count\nx,0,1\nx,0,1\nx,0,1\ny,1,q\n", "row 5: bad __count value 'q'"),
+        ("A,B,__count\nx,0,2\ny,1,3\nx,0,2\ny,1,0\n", "row 5: __count must be >= 1, got 0"),
+    ])
+    def test_count_errors(self, text, message):
+        schema = read_population_text("A,B\nx,0\ny,1\n").schema
+        with pytest.raises(ValidationError) as info:
+            read_population_text(text, schema=schema)
+        assert str(info.value) == message
+
+    def test_header_only_file(self):
+        schema = schema_of(2, 2)
+        pop = read_population_text("A0,A1\n", schema=schema)
+        assert pop.total == 0 and pop.cells.size == 0
+
+
+class TestCoords:
+    def test_computed_once_and_read_only(self):
+        pop = Population.from_assignments(schema_of(3, 2, 4), [(0, 1, 3), (2, 0, 1)])
+        coords = pop.coords()
+        assert pop.coords() is coords
+        assert not coords.flags.writeable
+        assert np.array_equal(coords, [[0, 2], [1, 0], [3, 1]])

@@ -172,6 +172,18 @@ class TestBenchmark:
         b = run_benchmark(self.grid(jobs=4))
         assert results_table(a) == results_table(b)
 
+    def test_maxent_rows_equal_per_cell_sampling(self):
+        # one shared alias table draws exactly what sampling each cell alone draws
+        grid = self.grid(sizes=(50, 200), jobs=2)
+        cs = grid.problems[0].constraints
+        model, _ = fit_hard(cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter)
+        rows = [r for r in run_benchmark(grid).rows if r.method == "maxent"]
+        assert len(rows) == 6
+        for row in rows:
+            alone = mre(sample_population(model, row.n, row.seed), cs)
+            assert (row.mre, row.mre_unary, row.mre_binary, row.mre_ternary) == (
+                alone.mre, alone.per_arity[1], alone.per_arity[2], alone.per_arity[3])
+
     def test_summary_winner_and_gap(self):
         report = run_benchmark(self.grid())
         (summary,) = report.summaries

@@ -11,6 +11,12 @@ Claims:
       deterministic, resolves rate budgets, and its atomic-constraint count
       equals the summed support sizes of the retained marginals
     - every extracted target equals the pattern's empirical frequency
+    - batched scoring is bit-identical to the frozen one-candidate-at-a-time
+      path in tests/oracles.py: NMI and triple scores on random schemas
+      with domain sizes 2-4, joints of triples that converge at different
+      sweeps, and the zero-mass and sweep-cap errors with their residuals
+    - at the paper's upper end (40 binary attributes, 50 pairs and 50
+      triples) extraction meets its budget and scores bit-identically
 """
 
 import itertools
@@ -35,10 +41,26 @@ from popmaxent import (
     nmi,
     support_size,
 )
-from popmaxent.extraction import AtomicConstraint
-from popmaxent.synthetic import mixture_population
+from popmaxent.errors import ConvergenceError
+from popmaxent.extraction import (
+    AtomicConstraint,
+    IPF_MAX_SWEEPS,
+    IPF_TOL,
+    _PAIRS,
+    _ipf,
+    _tabulate,
+    _triple_scores,
+)
+from popmaxent.core import MarginalTable
+from popmaxent.synthetic import mixture_population, parity_chain_population
 
-from oracles import naive_nmi, naive_triple_score
+from oracles import (
+    frozen_ipf_fit,
+    frozen_nmi,
+    frozen_triple_score,
+    naive_nmi,
+    naive_triple_score,
+)
 
 
 def schema_of(*sizes):
@@ -301,6 +323,124 @@ class TestExtraction:
         pop = Population(s, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         with pytest.raises(ValidationError):
             extract_constraints(pop, ExtractionBudget.full())
+
+
+def _pair_targets(pop, triple):
+    """The three dense pairwise tables of a triple, keyed by position pair."""
+    return {
+        pos: marginal(pop, (triple[pos[0]], triple[pos[1]])).to_dense(pop.schema)
+        for pos in _PAIRS
+    }
+
+
+def _batch(target_maps):
+    """``_ipf``'s stacked targets from per-triple position-pair maps."""
+    return [np.stack([t[pos] for t in target_maps]) for pos in _PAIRS]
+
+
+def _ipf_error(fn, *args, **kwargs):
+    with pytest.raises(ConvergenceError) as info:
+        fn(*args, **kwargs)
+    return info.value
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_bit_equal_to_frozen_path(self, seed):
+        pop = mixture_population(6, 400 + 300 * seed, seed=100 + seed,
+                                 min_categories=2, max_categories=4)
+        assert len(set(pop.schema.shape)) > 1
+        cs = extract_constraints(pop, ExtractionBudget.full())
+        for s in cs.scopes:
+            if s.arity == 2:
+                assert s.score == frozen_nmi(pop, *s.attrs)
+                assert nmi(pop, *s.attrs) == s.score
+            elif s.arity == 3:
+                assert s.score == frozen_triple_score(pop, s.attrs)
+
+    def test_triples_converging_at_different_sweeps(self):
+        # a uniform triple is fitted in one sweep; the parity chain's triples
+        # need between 3 and 11
+        uniform = pop_of((2, 2, 2), itertools.product(range(2), repeat=3))
+        chain = parity_chain_population(5, 3000, seed=4, flip=0.2)
+        maps = [_pair_targets(uniform, (0, 1, 2))]
+        maps += [_pair_targets(chain, t) for t in itertools.combinations(range(5), 3)]
+
+        def sweeps_needed(targets):
+            for sweeps in itertools.count(1):
+                try:
+                    frozen_ipf_fit(targets, max_sweeps=sweeps)
+                    return sweeps
+                except ConvergenceError:
+                    pass
+
+        assert len({sweeps_needed(t) for t in maps}) >= 5
+        joint, errors = _ipf(_batch(maps), IPF_TOL, IPF_MAX_SWEEPS)
+        assert errors == {}
+        for row, targets in zip(joint, maps):
+            assert np.array_equal(row, frozen_ipf_fit(targets))
+
+    def test_zero_mass_triple_among_good_ones(self):
+        schema = schema_of(2, 2, 2)
+        quarter = {c: 0.25 for c in itertools.product(range(2), repeat=2)}
+        # attribute 0 never takes category 1 in the (0, 1) table, but does in (0, 2)
+        bad = [MarginalTable((0, 1), {(0, 0): 0.5, (0, 1): 0.5}),
+               MarginalTable((0, 2), quarter), MarginalTable((1, 2), quarter)]
+        bad_map = {pos: mt.to_dense(schema) for pos, mt in zip(_PAIRS, bad)}
+        want = _ipf_error(frozen_ipf_fit, bad_map)
+        got = _ipf_error(ipf_fit, schema, (0, 1, 2), bad)
+        assert (type(got), str(got), got.residual) == (type(want), str(want), want.residual)
+
+        good = [_pair_targets(mixture_population(3, 500, seed=s, max_categories=2), (0, 1, 2))
+                for s in (1, 2)]
+        joint, errors = _ipf(_batch([good[0], bad_map, good[1]]), IPF_TOL, IPF_MAX_SWEEPS)
+        assert list(errors) == [1]
+        assert (str(errors[1]), errors[1].residual) == (str(want), want.residual)
+        assert np.isnan(joint[1]).all()
+        assert np.array_equal(joint[0], frozen_ipf_fit(good[0]))
+        assert np.array_equal(joint[2], frozen_ipf_fit(good[1]))
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 3])
+    def test_sweep_cap_residual(self, sweeps):
+        pop = parity_chain_population(3, 2000, seed=2, flip=0.2)
+        pairs = [marginal(pop, s) for s in [(0, 1), (0, 2), (1, 2)]]
+        want = _ipf_error(frozen_ipf_fit, _pair_targets(pop, (0, 1, 2)), max_sweeps=sweeps)
+        got = _ipf_error(ipf_fit, pop.schema, (0, 1, 2), pairs, max_sweeps=sweeps)
+        assert (type(got), str(got)) == (type(want), str(want))
+        assert got.residual == want.residual
+        assert sweeps > 0 or got.residual == math.inf
+
+    def test_first_failure_in_candidate_order_is_raised(self, monkeypatch):
+        import popmaxent.extraction as ex
+
+        pop = mixture_population(5, 800, seed=3)
+        triples = list(itertools.combinations(range(5), 3))
+        tables = {}
+        _tabulate(pop, list(itertools.combinations(range(5), 2)), tables)
+        # every triple hits the sweep cap; the first candidate's error comes out
+        monkeypatch.setattr(ex, "IPF_MAX_SWEEPS", 2)
+        got = _ipf_error(_triple_scores, pop, triples, tables)
+        want = _ipf_error(frozen_ipf_fit, _pair_targets(pop, triples[0]), max_sweeps=2)
+        assert (str(got), got.residual) == (str(want), want.residual)
+
+    def test_paper_upper_end(self):
+        pop = mixture_population(40, 4000, seed=1, max_categories=2)
+        budget = ExtractionBudget(binary=ArityBudget(count=50), ternary=ArityBudget(count=50))
+        cs = extract_constraints(pop, budget)
+        cs.validate()
+        assert [s.arity for s in cs.scopes].count(2) == 50
+        assert [s.arity for s in cs.scopes].count(3) == 50
+        for s in cs.scopes:
+            if s.arity == 3:
+                assert s.score == frozen_triple_score(pop, s.attrs)
+
+        triples = list(itertools.combinations(range(40), 3))
+        tables = {}
+        _tabulate(pop, list(itertools.combinations(range(40), 2)), tables)
+        scores = _triple_scores(pop, triples, tables)
+        rng = np.random.default_rng(40)
+        for n in rng.choice(len(triples), size=50, replace=False):
+            assert scores[n] == frozen_triple_score(pop, triples[n])
 
 
 class TestConstraintSetInvariants:
