@@ -23,14 +23,14 @@ from ._dense import DEFAULT_ENUM_CAP
 from .core import Population
 from .errors import PopmaxentError, ValidationError
 from .extraction import ConstraintSet
-from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard
+from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard, sample_population
 from .raking import (
     DEFAULT_RAKE_ITERATIONS,
     _rake,
     pool_constraints,
+    sample_weighted,
     unary_pool,
 )
-from .sampling import AliasTable, draw_population
 
 METHODS = ("maxent", "raking")
 
@@ -190,15 +190,16 @@ def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: 
 def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
     """Sweep the grid and score one sampled population per (problem, method, n, seed).
 
-    The maxent arm fits once per problem, builds one alias table over the
-    fitted distribution, and samples it per (n, seed).  The
-    raking arm is record-level generalized raking, run per grid cell: a
-    pool of n candidate records drawn from the unary max-ent distribution
+    The maxent arm fits once per problem and samples the model per
+    (n, seed) with :func:`~popmaxent.model.sample_population`, which draws
+    from the model's one alias table.  The raking arm is record-level
+    generalized raking, run per grid cell: a pool of n candidate records
+    drawn from the unary max-ent distribution
     (:func:`~popmaxent.raking.unary_pool`) has its weights raked toward
     the constraints the pool can carry
     (:func:`~popmaxent.raking.pool_constraints`); every constraint is
-    still scored.  Both arms draw their n individuals i.i.d. as
-    :func:`~popmaxent.raking.sample_weighted` does, under the cell's seed.
+    still scored, and :func:`~popmaxent.raking.sample_weighted` draws the
+    n individuals.  Both arms draw under the cell's seed.
 
     Fit failures and per-cell raking failures are recorded in the report
     instead of raised.  Rows come back in deterministic grid order
@@ -217,22 +218,22 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
                         cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter,
                         enum_cap=grid.enum_cap,
                     )
-                    # one alias table per problem, shared by every cell's draws
-                    fitted = (AliasTable(model.probabilities()), fit.converged)
+                    # built here, once, so that no two workers build it
+                    model.alias_table
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     failures.append(f"{problem.name}/{method}: fit failed: {exc}")
                     continue
 
             def cell_job(n: int, seed: int):
                 if method == "maxent":
-                    table, converged = fitted
+                    synth = sample_population(model, n, seed)
+                    converged = fit.converged
                 else:
                     try:
                         weights, converged = _raking_cell(cs, grid, n, seed)
                     except PopmaxentError as exc:  # recorded, not fatal
                         return f"{problem.name}/{method}/n={n}/seed={seed}: raking failed: {exc}"
-                    table = AliasTable(weights.weights)
-                synth = draw_population(cs.schema, table, n, seed)
+                    synth = sample_weighted(weights, n, seed)
                 scored = mre(synth, cs)
                 by_arity = {a: scored.per_arity.get(a, math.nan) for a in (1, 2, 3)}
                 return BenchmarkRow(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -125,6 +126,11 @@ class MaxEntModel:
         """Dense cell probabilities in canonical order (exact mode only)."""
         check_cap(self.schema, self.enum_cap)
         return _probabilities(self.lam, self.constraints.layout)
+
+    @cached_property
+    def alias_table(self) -> AliasTable:
+        """Alias table over :meth:`probabilities`, built on first use and kept."""
+        return AliasTable(self.probabilities())
 
     def moments(self) -> np.ndarray:
         return self.constraints.layout.masses(self.probabilities())
@@ -312,8 +318,11 @@ def fit_soft(
 
 
 def sample_population(model: MaxEntModel, n: int, seed: int) -> Population:
-    """n i.i.d. draws from the model as an integer population."""
-    return draw_population(model.schema, AliasTable(model.probabilities()), n, seed)
+    """n i.i.d. draws from the model as an integer population.
+
+    Draws come from the model's one alias table (:attr:`MaxEntModel.alias_table`).
+    """
+    return draw_population(model.schema, model.alias_table, n, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ The exceptions are frozen copies of earlier fast paths, kept so that the
 package's current paths can be compared with them bit for bit:
 :func:`frozen_rake_array` (the numpy-scalar raking replay) and
 :func:`frozen_nmi`, :func:`frozen_ipf_fit` and :func:`frozen_triple_score`
-(pair and triple scoring one candidate at a time).  They raise the
+(pair and triple scoring one candidate at a time), and
+:class:`FrozenAliasTable` (the Vose build one entry at a time).  They raise the
 package's own error types, so that errors compare too.
 """
 
@@ -17,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from popmaxent.errors import ConvergenceError, UnmatchableConstraintError
+from popmaxent.errors import ConvergenceError, UnmatchableConstraintError, ValidationError
 
 
 def entropy(freqs):
@@ -234,6 +235,46 @@ def frozen_rake_array(constraints, iterations, start, tol, cells=None):
         if tol is not None and max_dev <= tol:
             break
     return start, passes, max_dev
+
+
+class FrozenAliasTable:
+    """Alias table over ``len(weights)`` categories."""
+
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1 or w.size == 0:
+            raise ValidationError("alias table needs a nonempty 1-d weight vector")
+        if np.any(w < 0.0) or not np.isfinite(w).all():
+            raise ValidationError("alias weights must be finite and nonnegative")
+        total = w.sum()
+        if total <= 0.0:
+            raise ValidationError("alias weights must have positive total mass")
+
+        n = w.size
+        scaled = w * (n / total)
+        prob = np.ones(n)
+        alias = np.arange(n)
+        # index order fixed ascending so the table is reproducible
+        small = [i for i in range(n) if scaled[i] < 1.0]
+        large = [i for i in range(n) if scaled[i] >= 1.0]
+        while small and large:
+            s = small.pop()
+            l = large[-1]
+            prob[s] = scaled[s]
+            alias[s] = l
+            scaled[l] -= 1.0 - scaled[s]
+            if scaled[l] < 1.0:
+                small.append(l)
+                large.pop()
+        # leftovers are 1 up to rounding
+        self._prob = prob
+        self._alias = alias
+        self.n = n
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        idx = rng.integers(0, self.n, size=size)
+        u = rng.random(size)
+        return np.where(u < self._prob[idx], idx, self._alias[idx])
 
 
 def frozen_dense_marginal(pop, scope):
