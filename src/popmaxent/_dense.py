@@ -23,6 +23,11 @@ elimination order fixed by the canonical attribute order.
 tables are added up toward the root by broadcasting, and the full space
 is materialised once.  Duplicate patterns are supported: their
 multipliers accumulate and their masses coincide.
+
+The layout is the one index of the scope tables for fitting, raking,
+scoring and the Metropolis chain: a group's ``strides`` and ``keys`` give
+the flat table entry of a pattern, of a cell's coordinates or of a
+chain's state, and nothing outside this module computes them.
 """
 
 from __future__ import annotations
@@ -39,19 +44,6 @@ from .errors import CapacityError
 DEFAULT_ENUM_CAP = 2 ** 24
 
 
-def scope_shape(schema: AttributeSchema, scope: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(len(schema.domain(a)) for a in scope)
-
-
-def bcast_shape(schema: AttributeSchema, scope: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape that places a scope table for broadcasting against the full space."""
-    return tuple(len(schema.domain(a)) if a in scope else 1 for a in range(schema.k))
-
-
-def axes_complement(schema: AttributeSchema, scope: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a for a in range(schema.k) if a not in scope)
-
-
 def check_cap(schema: AttributeSchema, cap: int) -> None:
     if schema.n_cells > cap:
         raise CapacityError(
@@ -61,12 +53,23 @@ def check_cap(schema: AttributeSchema, cap: int) -> None:
 
 
 class _ScopeGroup:
-    __slots__ = ("scope", "shape", "size")
+    """The flat table of one attribute scope, in row-major order over the scope."""
+
+    __slots__ = ("scope", "shape", "size", "strides")
 
     def __init__(self, schema: AttributeSchema, scope: tuple[int, ...]):
         self.scope = scope
-        self.shape = scope_shape(schema, scope)
+        self.shape = tuple(schema.shape[a] for a in scope)
         self.size = math.prod(self.shape)
+        self.strides = tuple(math.prod(self.shape[pos + 1:]) for pos in range(len(scope)))
+
+    def keys(self, coords):
+        """Flat table entry of ``coords``, indexed by attribute.
+
+        ``coords[a]`` is a category index, or an array of them (one per
+        cell), for every attribute ``a`` of the scope.
+        """
+        return sum(coords[a] * stride for a, stride in zip(self.scope, self.strides))
 
 
 class _SumOutTree:
@@ -114,16 +117,15 @@ class ScopeLayout:
     def __init__(self, schema: AttributeSchema, patterns: Sequence[Pattern]):
         self.schema = schema
         self.groups = [_ScopeGroup(schema, s) for s in sorted({p.scope for p in patterns})]
+        index = {g.scope: i for i, g in enumerate(self.groups)}
+        # each pattern's group, and its entry in that group's flat table
+        self.group_of = np.array([index[p.scope] for p in patterns], dtype=np.int64)
+        self.combo = np.array([self.groups[i].keys(dict(p.fixed))
+                               for i, p in zip(self.group_of.tolist(), patterns)],
+                              dtype=np.int64)
         self._offsets = np.cumsum([0] + [g.size for g in self.groups])
-        start = {g.scope: int(off) for g, off in zip(self.groups, self._offsets)}
-        keys = []
-        for pattern in patterns:
-            flat = 0
-            for v, d in zip(pattern.values, scope_shape(schema, pattern.scope)):
-                flat = flat * d + v
-            keys.append(start[pattern.scope] + flat)
         # pattern j's entry in the concatenation of every group's flat table
-        self._keys = np.asarray(keys, dtype=np.int64)
+        self._keys = self._offsets[self.group_of] + self.combo
 
     @cached_property
     def _tree(self) -> _SumOutTree:
@@ -172,12 +174,8 @@ class ScopeLayout:
         """
         if not self.groups:
             return np.empty(0)
-        coords = np.array(np.unravel_index(np.asarray(cells, dtype=np.int64),
-                                           self.schema.shape))
+        coords = np.unravel_index(np.asarray(cells, dtype=np.int64), self.schema.shape)
         weights = np.asarray(weights, dtype=np.float64)
-        sums = [
-            np.bincount(np.ravel_multi_index(tuple(coords[a] for a in g.scope), g.shape),
-                        weights=weights, minlength=g.size)
-            for g in self.groups
-        ]
+        sums = [np.bincount(g.keys(coords), weights=weights, minlength=g.size)
+                for g in self.groups]
         return np.concatenate(sums)[self._keys] / total

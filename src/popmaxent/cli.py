@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -204,6 +203,11 @@ def cmd_rake(args) -> int:
     iters = int(_opt(args, config, "iters", DEFAULT_RAKE_ITERATIONS))
     enum_cap = int(_opt(args, config, "enum_cap", DEFAULT_ENUM_CAP))
     rake_tol = _opt(args, config, "rake_tol", None)
+    if args.size is not None:
+        if args.seed is None:
+            raise ValidationError("sampling a raked population requires --seed")
+        if not args.population_out:
+            raise ValidationError("--size needs --population-out")
     cs = artifacts.load_constraints(args.constraints)
     inputs = {str(args.constraints): artifacts.digest_file(args.constraints)}
 
@@ -225,10 +229,6 @@ def cmd_rake(args) -> int:
           f"{max_dev:.3g}) -> {args.out}")
 
     if args.size is not None:
-        if args.seed is None:
-            raise ValidationError("sampling a raked population requires --seed")
-        if not args.population_out:
-            raise ValidationError("--size needs --population-out")
         pop = sample_weighted(wv, int(args.size), args.seed)
         comments = [
             f"popmaxent {__version__} population",
@@ -275,11 +275,16 @@ def cmd_benchmark(args) -> int:
     if not problem_specs:
         raise ValidationError("no benchmark problems given (flag --problems or config)")
 
-    def _ints(text):
-        return tuple(int(v) for v in str(text).split(","))
+    def _ints(name):
+        text = _opt(args, config, name, None)
+        try:
+            return tuple(int(v) for v in str(text).split(","))
+        except ValueError:
+            raise ValidationError(
+                f"--{name} needs comma-separated integers, got {text!r}") from None
 
-    sizes = _ints(_opt(args, config, "sizes", ""))
-    seeds = _ints(_opt(args, config, "seeds", ""))
+    sizes = _ints("sizes")
+    seeds = _ints("seeds")
     methods = tuple(str(_opt(args, config, "methods", "maxent,raking")).split(","))
 
     inputs = {}
@@ -301,7 +306,7 @@ def cmd_benchmark(args) -> int:
         rake_iterations=int(_opt(args, config, "rake_iterations", DEFAULT_RAKE_ITERATIONS)),
         rake_tol=float(rake_tol) if rake_tol is not None else None,
         enum_cap=int(_opt(args, config, "enum_cap", DEFAULT_ENUM_CAP)),
-        jobs=int(_opt(args, config, "jobs", os.cpu_count() or 1)),
+        jobs=int(_opt(args, config, "jobs", 1)),
     )
     report = run_benchmark(grid)
 
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"raking passes (default {DEFAULT_RAKE_ITERATIONS})")
     p.add_argument("--rake-tol", dest="rake_tol", type=float)
     p.add_argument("--jobs", type=int,
-                   help="parallel sampling jobs (default: available cores)")
+                   help="parallel sampling jobs (default 1)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     add_shared(p)
     p.set_defaults(func=cmd_benchmark)

@@ -258,14 +258,16 @@ class Population:
         )
 
     @classmethod
+    def from_codes(cls, schema: AttributeSchema, codes) -> "Population":
+        """Count cell codes, in any order and with repeats, into a population."""
+        cells, counts = np.unique(np.asarray(codes, dtype=np.int64), return_counts=True)
+        return cls(schema, cells, counts)
+
+    @classmethod
     def from_assignments(
         cls, schema: AttributeSchema, rows: Iterable[Sequence[int]]
     ) -> "Population":
-        acc: dict[int, int] = {}
-        for row in rows:
-            code = encode_cell(schema, row)
-            acc[code] = acc.get(code, 0) + 1
-        return cls.from_counts(schema, acc)
+        return cls.from_codes(schema, [encode_cell(schema, row) for row in rows])
 
     def coords(self) -> np.ndarray:
         """(K, n_support) array of category indices for the stored cells.

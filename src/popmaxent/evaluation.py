@@ -127,6 +127,8 @@ class BenchmarkGrid:
             raise ValidationError("benchmark seeds must be distinct")
         if any(n < 1 for n in self.sizes):
             raise ValidationError("population sizes must be >= 1")
+        if self.jobs < 1:
+            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValidationError(f"methods must be a nonempty subset of {METHODS}")

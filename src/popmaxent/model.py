@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,7 +28,7 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import logsumexp
 
-from ._dense import DEFAULT_ENUM_CAP, check_cap
+from ._dense import DEFAULT_ENUM_CAP, _ScopeGroup, check_cap
 from .core import AttributeSchema, Pattern, Population
 from .errors import ValidationError
 from .extraction import ConstraintSet
@@ -330,60 +331,32 @@ def sample_population(model: MaxEntModel, n: int, seed: int) -> Population:
 # ---------------------------------------------------------------------------
 
 
-class _ChainTables:
-    """Per-scope multiplier tables plus the scopes touched by each attribute."""
-
-    def __init__(self, model: MaxEntModel):
-        schema = model.schema
-        self.schema = schema
-        self.tables: list[list[float]] = []
-        self.strides: list[tuple[int, ...]] = []
-        scopes: list[tuple[int, ...]] = []
-        layout = model.constraints.layout
-        for g, table in zip(layout.groups, layout.scope_tables(model.lam)):
-            self.tables.append(table.tolist())
-            stride = [0] * len(g.scope)
-            s = 1
-            for pos in range(len(g.scope) - 1, -1, -1):
-                stride[pos] = s
-                s *= g.shape[pos]
-            self.strides.append(tuple(stride))
-            scopes.append(g.scope)
-        self.touching: list[list[tuple[int, int]]] = [[] for _ in range(schema.k)]
-        for s_idx, scope in enumerate(scopes):
-            for pos, attr in enumerate(scope):
-                self.touching[attr].append((s_idx, self.strides[s_idx][pos]))
-        self.scopes = scopes
-
-
-def _run_chain(tables: _ChainTables, sweeps: int, burn_in: int, seed: int):
-    """Single-site Metropolis chain; returns visit counts per cell."""
-    schema = tables.schema
+def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Population:
+    """Single-site Metropolis chain; returns the post-burn-in visits as a population."""
+    schema = model.schema
     shape = schema.shape
     k = schema.k
+    layout = model.constraints.layout
+    tabs = [table.tolist() for table in layout.scope_tables(model.lam)]
+    # (group, stride of the attribute in the group's table) per attribute
+    touching: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for s_idx, g in enumerate(layout.groups):
+        for attr, stride in zip(g.scope, g.strides):
+            touching[attr].append((s_idx, stride))
+    # the full space as one table: its flat entry is the cell code
+    space = _ScopeGroup(schema, tuple(range(k)))
     rng = np.random.default_rng(seed)
 
     state = [int(rng.integers(0, d)) for d in shape]
-    cell_strides = [0] * k
-    s = 1
-    for a in range(k - 1, -1, -1):
-        cell_strides[a] = s
-        s *= shape[a]
-    cell = sum(c * st for c, st in zip(state, cell_strides))
-
-    flat = []  # current flat combo per scope
-    for scope, strides in zip(tables.scopes, tables.strides):
-        flat.append(sum(state[a] * st for a, st in zip(scope, strides)))
+    cell_strides = space.strides
+    cell = space.keys(state)
+    flat = [g.keys(state) for g in layout.groups]  # current flat combo per scope
 
     attrs = rng.integers(0, k, size=sweeps)
     cat_u = rng.random(sweeps)
     acc_u = rng.random(sweeps)
 
-    dense = schema.n_cells <= 2 ** 22
-    visits_arr = [0] * schema.n_cells if dense else None
-    visits_map: dict[int, int] = {}
-    tabs = tables.tables
-    touching = tables.touching
+    visits = array("q")  # int64 cell codes, 8 bytes each
 
     for t in range(sweeps):
         a = int(attrs[t])
@@ -403,18 +376,8 @@ def _run_chain(tables: _ChainTables, sweeps: int, burn_in: int, seed: int):
                 for s_idx, f_new in deltas:
                     flat[s_idx] = f_new
         if t >= burn_in:
-            if dense:
-                visits_arr[cell] += 1
-            else:
-                visits_map[cell] = visits_map.get(cell, 0) + 1
-
-    if dense:
-        counts = np.asarray(visits_arr, dtype=np.int64)
-        cells = np.flatnonzero(counts)
-        return cells.astype(np.int64), counts[cells]
-    items = sorted(visits_map.items())
-    return (np.array([c for c, _ in items], dtype=np.int64),
-            np.array([n for _, n in items], dtype=np.int64))
+            visits.append(cell)
+    return Population.from_codes(schema, visits)
 
 
 def metropolis_moments(
@@ -428,9 +391,8 @@ def metropolis_moments(
     """
     if not sweeps > burn_in >= 0:
         raise ValidationError("need sweeps > burn_in >= 0")
-    tables = _ChainTables(model)
-    cells, counts = _run_chain(tables, sweeps, burn_in, seed)
-    return model.constraints.layout.sparse_masses(cells, counts, sweeps - burn_in)
+    visits = _run_chain(model, sweeps, burn_in, seed)
+    return model.constraints.layout.sparse_masses(visits.cells, visits.counts, visits.total)
 
 
 def fit_metropolis(

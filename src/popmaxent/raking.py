@@ -15,17 +15,18 @@ Two weight carriers share that one update:
   maximum-entropy model itself (Csiszar 1975);
 - a base population's records (``rake(cs, base=pop)``).  Multiplicative
   updates never leave the base's support, so only the occupied cells are
-  carried: projections are ``bincount`` over the records' scope keys and
-  updates are gathers.  This is generalized raking in the sense of
-  Deville, Sarndal & Sautory (1993): calibrating the weights of a finite
-  set of individual records.
+  carried: projections are ``bincount`` over the records' keys in each
+  scope table, computed once per scope, and updates are gathers.  This
+  is generalized raking in the sense of Deville, Sarndal & Sautory
+  (1993): calibrating the weights of a finite set of individual records.
 
 The inner loop batches consecutive same-scope constraints: within a scope
 the patterns are disjoint, so the sequence of scalar rescale/renormalize
 steps can be replayed exactly on per-combination masses and applied to the
-weights once per scope run.  This is algebraically identical to the
-one-constraint-at-a-time update (the unit tests check it against a naive
-reference).
+weights once per scope run.  The scopes, their tables and each pattern's
+entry come from ``ConstraintSet.layout``, the same index the fit uses.
+This is algebraically identical to the one-constraint-at-a-time update
+(the unit tests check it against a naive reference).
 
 The replay itself is scalar, one constraint at a time, so it runs on
 Python floats: each run's projection is turned into a list once, the
@@ -53,13 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import (
-    DEFAULT_ENUM_CAP,
-    axes_complement,
-    bcast_shape,
-    check_cap,
-    scope_shape,
-)
+from ._dense import DEFAULT_ENUM_CAP, check_cap
 from .core import AttributeSchema, Population
 from .errors import UnmatchableConstraintError, ValidationError
 from .extraction import ConstraintSet
@@ -95,31 +90,17 @@ class WeightVector:
 
 
 def _runs(constraints: ConstraintSet):
-    """Consecutive same-scope runs of (flat combo, target, 1 - target, index) items."""
-    schema = constraints.schema
-    runs = []
-    current_scope = None
-    for j, c in enumerate(constraints.constraints):
-        scope = c.pattern.scope
-        if scope != current_scope:
-            shape = scope_shape(schema, scope)
-            runs.append(
-                dict(
-                    scope=scope,
-                    shape=shape,
-                    size=math.prod(shape),
-                    bshape=bcast_shape(schema, scope),
-                    other_axes=axes_complement(schema, scope),
-                    items=[],
-                )
-            )
-            current_scope = scope
-        flat = 0
-        for v, d in zip(c.pattern.values, scope_shape(schema, scope)):
-            flat = flat * d + v
-        target = float(c.target)
-        runs[-1]["items"].append((flat, target, 1.0 - target, j))
-    return runs
+    """Consecutive same-scope runs: (layout group index, items), in constraint order.
+
+    An item is (flat combination, target, 1 - target, constraint index).
+    """
+    layout = constraints.layout
+    targets = constraints.targets()
+    items = list(zip(layout.combo.tolist(), targets.tolist(), (1.0 - targets).tolist(),
+                     range(constraints.m)))
+    starts = np.flatnonzero(np.diff(layout.group_of, prepend=-1)).tolist()
+    ends = starts[1:] + [constraints.m]
+    return [(int(layout.group_of[s]), items[s:e]) for s, e in zip(starts, ends)]
 
 
 def _rake_array(
@@ -135,39 +116,39 @@ def _rake_array(
     given, holds the weights of those cell codes only.
     """
     schema = constraints.schema
+    groups = constraints.layout.groups
     runs = _runs(constraints)
     max_dev = math.inf
     passes = 0
+    # per layout group: project() lists the carried mass of each table
+    # entry, scale(fac) multiplies every weight by its entry's factor
     if cells is None:
         wv = start.reshape(schema.shape)
 
-        def project(run):
-            return wv.sum(axis=run["other_axes"]).ravel().tolist()
-
-        def scale(run, fac):
-            np.multiply(wv, np.array(fac).reshape(run["bshape"]), out=wv)
+        def carrier(group):
+            summed = tuple(a for a in range(schema.k) if a not in group.scope)
+            bshape = tuple(d if a in group.scope else 1 for a, d in enumerate(schema.shape))
+            return (lambda: wv.sum(axis=summed).ravel().tolist(),
+                    lambda fac: np.multiply(wv, np.array(fac).reshape(bshape), out=wv))
     else:
         wv = start
         coords = np.unravel_index(np.asarray(cells, dtype=np.int64), schema.shape)
-        for run in runs:
-            run["keys"] = np.ravel_multi_index(
-                tuple(coords[a] for a in run["scope"]), run["shape"]
-            )
 
-        def project(run):
-            return np.bincount(run["keys"], weights=wv, minlength=run["size"]).tolist()
-
-        def scale(run, fac):
-            np.multiply(wv, np.array(fac).take(run["keys"]), out=wv)
+        def carrier(group):
+            keys = group.keys(coords)
+            return (lambda: np.bincount(keys, weights=wv, minlength=group.size).tolist(),
+                    lambda fac: np.multiply(wv, np.array(fac).take(keys), out=wv))
+    carriers = [carrier(g) for g in groups]
 
     for _ in range(iterations):
         max_dev = 0.0
-        for run in runs:
-            size = run["size"]
-            proj = project(run)
+        for g, items in runs:
+            size = groups[g].size
+            project, scale = carriers[g]
+            proj = project()
             glob = 1.0
             gfac = [1.0] * size
-            for flat, target, rest, j in run["items"]:
+            for flat, target, rest, j in items:
                 mass = glob * gfac[flat] * proj[flat]
                 if mass <= 0.0 or (mass >= 1.0 and target < 1.0):
                     raise _unmatchable(constraints, j, mass)
@@ -177,10 +158,10 @@ def _rake_array(
                 if down == 0.0:
                     # target exactly 1: the complement dies, which cannot be
                     # folded into the running factors; apply and restart
-                    scale(run, [g * glob for g in gfac])
+                    scale([f * glob for f in gfac])
                     hard = [0.0] * size
                     hard[flat] = up
-                    scale(run, hard)
+                    scale(hard)
                     proj = [0.0] * size
                     proj[flat] = 1.0
                     glob = 1.0
@@ -194,7 +175,7 @@ def _rake_array(
                 dev = down - 1.0 if down > 1.0 else 1.0 - down
                 if dev > max_dev:
                     max_dev = dev
-            scale(run, [g * glob for g in gfac])
+            scale([f * glob for f in gfac])
         wv /= wv.sum()  # guard float drift across many passes
         passes += 1
         if tol is not None and max_dev <= tol:
@@ -305,8 +286,7 @@ def unary_pool(constraints: ConstraintSet, n: int, seed) -> Population:
     schema = constraints.schema
     rng = np.random.default_rng(seed)
     rows = [rng.choice(p.size, size=n, p=p) for p in unary_probabilities(constraints)]
-    cells, counts = np.unique(np.ravel_multi_index(rows, schema.shape), return_counts=True)
-    return Population(schema, cells, counts)
+    return Population.from_codes(schema, np.ravel_multi_index(rows, schema.shape))
 
 
 def pool_constraints(constraints: ConstraintSet, pool: Population) -> ConstraintSet:

@@ -20,13 +20,6 @@ def _schema(sizes: list[int]) -> AttributeSchema:
     )
 
 
-def _population_from_matrix(schema: AttributeSchema, rows: np.ndarray) -> Population:
-    # only the occupied cells: a count per cell of a wide space does not fit in memory
-    cells, counts = np.unique(np.ravel_multi_index(tuple(rows.T), schema.shape),
-                              return_counts=True)
-    return Population(schema, cells.astype(np.int64), counts.astype(np.int64))
-
-
 def mixture_population(
     k: int,
     n: int,
@@ -55,7 +48,7 @@ def mixture_population(
         idx = np.flatnonzero(which == c)
         for a, d in enumerate(sizes):
             rows[idx, a] = rng.choice(d, size=idx.size, p=probs[c][a])
-    return _population_from_matrix(schema, rows)
+    return Population.from_codes(schema, np.ravel_multi_index(tuple(rows.T), schema.shape))
 
 
 def parity_chain_population(
@@ -81,4 +74,5 @@ def parity_chain_population(
     for a in range(2, k):
         noise = rng.random(n) < flip
         rows[:, a] = (rows[:, a - 1] ^ rows[:, a - 2]) ^ noise
-    return _population_from_matrix(_schema([2] * k), rows)
+    schema = _schema([2] * k)
+    return Population.from_codes(schema, np.ravel_multi_index(tuple(rows.T), schema.shape))

@@ -272,6 +272,16 @@ class TestCliPipeline:
         pop = read_population(p, schema=cs.schema)
         assert pop.total == 1000
 
+    @pytest.mark.parametrize("flags", [["-n", "10"],
+                                       ["-n", "10", "--seed", "4"]])
+    def test_rake_checks_sampling_flags_before_writing(self, tmp_path, problem, flags):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        w = tmp_path / "w.json"
+        assert main(["rake", str(c), "--out", str(w), *flags]) == 2
+        assert not w.exists()
+
     def test_config_file_with_flag_precedence(self, tmp_path, problem):
         _, source = problem
         cfg = tmp_path / "cfg.json"
@@ -307,6 +317,22 @@ class TestCliPipeline:
                  if not ln.startswith("#")]
         assert len(lines) == 1 + 8  # header + 1 problem x 2 sizes x 2 methods x 2 seeds
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seeds", "1"], "--sizes"),
+        (["--sizes", "10,x", "--seeds", "1"], "--sizes"),
+        (["--sizes", "10"], "--seeds"),
+        (["--sizes", "10", "--seeds", "1.5"], "--seeds"),
+        (["--sizes", "10", "--seeds", "1", "--jobs", "0"], "jobs"),
+    ])
+    def test_benchmark_bad_integers_exit_2(self, tmp_path, problem, capsys, flags, named):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        capsys.readouterr()
+        assert main(["benchmark", "--problems", str(c), "--out-dir", str(tmp_path / "b"),
+                     *flags]) == 2
+        assert named in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

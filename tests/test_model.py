@@ -15,7 +15,8 @@ Claims:
       large beta, tolerates inconsistent targets, drops zero-weight
       constraints
     - sampling is seeded-deterministic with binomial-level concentration
-    - Metropolis estimates agree with exact moments; boundary targets and
+    - Metropolis estimates agree with exact moments, also over 2^30 cells
+      where the chain keeps only the cells it visits; boundary targets and
       over-cap spaces are rejected with the right errors
 """
 
@@ -47,6 +48,7 @@ from popmaxent import (
     uniform_model,
 )
 from popmaxent.extraction import AtomicConstraint
+from popmaxent.model import _run_chain
 from popmaxent.synthetic import mixture_population
 
 from oracles import central_difference_gradient, product_distribution
@@ -414,6 +416,22 @@ class TestMetropolis:
             model.probabilities()
         est = metropolis_moments(model, sweeps=50_000, burn_in=500, seed=2)
         assert abs(est[0] - 0.5) < 0.02
+
+    def test_chain_on_a_2_30_cell_space(self):
+        s = schema_of(*[2] * 30)
+        attrs = range(0, 30, 3)
+        model = MaxEntModel(cs_of(s, [({a: 0}, 0.5) for a in attrs]),
+                            np.linspace(-1.0, 1.0, len(attrs)))
+        est = metropolis_moments(model, sweeps=200_000, burn_in=1_000, seed=3)
+        # attributes are independent under a unary model: P(a = 0) = e^lam / (e^lam + 1)
+        exact = 1.0 / (1.0 + np.exp(-model.lam))
+        assert np.abs(est - exact).max() < 0.05
+        visits = _run_chain(model, 200_000, 1_000, 3)
+        assert visits.total == 199_000
+        assert visits.cells[-1] >= 2 ** 22
+        assert np.array_equal(
+            model.constraints.layout.sparse_masses(visits.cells, visits.counts, visits.total),
+            est)
 
     def test_fit_metropolis_reduces_residual(self):
         s = schema_of(2, 2)
