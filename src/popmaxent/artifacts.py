@@ -150,6 +150,9 @@ def report_to_dict(report: FitReport) -> dict:
         "converged": report.converged,
         "seconds": None,
         "message": report.message,
+        "evaluations": report.evaluations,
+        "cliques": report.cliques,
+        "largest_clique": report.largest_clique,
     }
 
 
@@ -161,6 +164,9 @@ def report_from_dict(doc: dict) -> FitReport:
         converged=doc["converged"],
         seconds=doc["seconds"] if doc.get("seconds") is not None else 0.0,
         message=doc.get("message", ""),
+        evaluations=doc.get("evaluations", 0),
+        cliques=doc.get("cliques", 0),
+        largest_clique=doc.get("largest_clique", 0),
     )
 
 

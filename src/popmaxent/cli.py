@@ -66,25 +66,55 @@ def _opt(args, config: dict, name: str, default):
     return default
 
 
-def _parse_budget(count, rate, label: str) -> ArityBudget | None:
+def _number(name: str, value, kind):
+    """``value`` as ``kind`` (int or float); a ValidationError names option ``name``."""
+    try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(
+            f"--{name.replace('_', '-')} needs {noun}, got {value!r}") from None
+
+
+def _opt_number(args, config: dict, name: str, kind, default=None):
+    """:func:`_opt` as ``kind`` (int or float); None stays None."""
+    value = _opt(args, config, name, default)
+    return None if value is None else _number(name, value, kind)
+
+
+def _opt_ints(args, config: dict, name: str) -> tuple[int, ...]:
+    """Comma-separated integers from a flag or config string, or a config list."""
+    value = _opt(args, config, name, None)
+    items = value if isinstance(value, list) else str(value).split(",")
+    try:
+        return tuple(_number(name, v, int) for v in items)
+    except ValidationError:
+        raise ValidationError(
+            f"--{name} needs comma-separated integers, got {value!r}") from None
+
+
+def _parse_budget(args, config: dict, label: str) -> ArityBudget | None:
+    count = _opt_number(args, config, f"n{label}", int)
+    rate = _opt_number(args, config, f"rho{label}", float)
     if count is not None and rate is not None:
         raise ValidationError(f"give at most one of --n{label} and --rho{label}")
     if count is not None:
-        return ArityBudget(count=int(count))
+        return ArityBudget(count=count)
     if rate is not None:
-        return ArityBudget(rate=float(rate))
+        return ArityBudget(rate=rate)
     return ArityBudget(rate=1.0)
 
 
 def cmd_extract(args) -> int:
     config = _load_config(args)
-    max_arity = int(_opt(args, config, "max_arity", 3))
+    max_arity = _opt_number(args, config, "max_arity", int, 3)
     if max_arity not in (1, 2, 3):
         raise ValidationError(f"--max-arity must be 1, 2, or 3, got {max_arity}")
-    binary = _parse_budget(_opt(args, config, "n2", None),
-                           _opt(args, config, "rho2", None), "2")
-    ternary = _parse_budget(_opt(args, config, "n3", None),
-                            _opt(args, config, "rho3", None), "3")
+    binary = _parse_budget(args, config, "2")
+    ternary = _parse_budget(args, config, "3")
     budget = ExtractionBudget(
         binary=binary if max_arity >= 2 else None,
         ternary=ternary if max_arity >= 3 else None,
@@ -113,11 +143,11 @@ def cmd_extract(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    tol = float(_opt(args, config, "tol", DEFAULT_TOL))
-    raw_iters = _opt(args, config, "iters", None)
-    iters = int(raw_iters) if raw_iters is not None else DEFAULT_MAX_ITER
-    enum_cap = int(_opt(args, config, "enum_cap", DEFAULT_ENUM_CAP))
-    soft_beta = _opt(args, config, "soft_beta", None)
+    tol = _opt_number(args, config, "tol", float, DEFAULT_TOL)
+    raw_iters = _opt_number(args, config, "iters", int)
+    iters = raw_iters if raw_iters is not None else DEFAULT_MAX_ITER
+    enum_cap = _opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP)
+    soft_beta = _opt_number(args, config, "soft_beta", float)
     weights_path = _opt(args, config, "weights", None)
 
     cs = artifacts.load_constraints(args.constraints)
@@ -137,7 +167,7 @@ def cmd_fit(args) -> int:
             raise ValidationError("--metropolis fitting requires --seed")
         # the stochastic fit counts gradient steps, not dual iterations, so
         # an unspecified --iters falls back to its own default of 200
-        sgd_iters = int(raw_iters) if raw_iters is not None else 200
+        sgd_iters = raw_iters if raw_iters is not None else 200
         resolved.update(seed=args.seed, sweeps=args.sweeps, burn_in=args.burn_in,
                         iters=sgd_iters)
         model, report = fit_metropolis(
@@ -148,9 +178,9 @@ def cmd_fit(args) -> int:
         wvec = None
         if weights_path:
             with open(weights_path, "r", encoding="utf-8") as fh:
-                wvec = tuple(float(line) for line in fh.read().split())
+                wvec = tuple(_number("weights", line, float) for line in fh.read().split())
             inputs[str(weights_path)] = artifacts.digest_file(weights_path)
-        cfg = SoftFitConfig(beta=float(soft_beta), weights=wvec)
+        cfg = SoftFitConfig(beta=soft_beta, weights=wvec)
         model, report = fit_soft(cs, cfg, tol=tol, max_iter=iters, enum_cap=enum_cap)
     else:
         model, report = fit_hard(cs, tol=tol, max_iter=iters, enum_cap=enum_cap)
@@ -161,6 +191,8 @@ def cmd_fit(args) -> int:
     print(f"  constraints: {cs.m}, iterations: {report.iterations}, "
           f"residual: {report.residual:.3e}, converged: {report.converged}, "
           f"wall: {report.seconds:.2f}s")
+    print(f"  evaluations: {report.evaluations}, cliques: {report.cliques}, "
+          f"largest clique: {report.largest_clique} cells")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -178,7 +210,7 @@ def _load_distribution(path):
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
-    n = int(_opt(args, config, "size", 0))
+    n = _opt_number(args, config, "size", int, 0)
     if n < 1:
         raise ValidationError("--size must be a positive individual count")
     kind, dist = _load_distribution(args.artifact)
@@ -200,9 +232,9 @@ def cmd_sample(args) -> int:
 
 def cmd_rake(args) -> int:
     config = _load_config(args)
-    iters = int(_opt(args, config, "iters", DEFAULT_RAKE_ITERATIONS))
-    enum_cap = int(_opt(args, config, "enum_cap", DEFAULT_ENUM_CAP))
-    rake_tol = _opt(args, config, "rake_tol", None)
+    iters = _opt_number(args, config, "iters", int, DEFAULT_RAKE_ITERATIONS)
+    enum_cap = _opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP)
+    rake_tol = _opt_number(args, config, "rake_tol", float)
     if args.size is not None:
         if args.seed is None:
             raise ValidationError("sampling a raked population requires --seed")
@@ -216,9 +248,7 @@ def cmd_rake(args) -> int:
         base = read_population(args.base, schema=cs.schema)
         inputs[str(args.base)] = artifacts.digest_file(args.base)
 
-    wv, passes, max_dev = _rake(cs, iters, base,
-                                float(rake_tol) if rake_tol is not None else None,
-                                enum_cap)
+    wv, passes, max_dev = _rake(cs, iters, base, rake_tol, enum_cap)
     resolved = {"command": "rake", "constraints": str(args.constraints),
                 "iters": iters, "enum_cap": enum_cap, "rake_tol": rake_tol,
                 "base": str(args.base) if args.base else None,
@@ -229,7 +259,7 @@ def cmd_rake(args) -> int:
           f"{max_dev:.3g}) -> {args.out}")
 
     if args.size is not None:
-        pop = sample_weighted(wv, int(args.size), args.seed)
+        pop = sample_weighted(wv, args.size, args.seed)
         comments = [
             f"popmaxent {__version__} population",
             f"input {args.constraints} {inputs[str(args.constraints)]}",
@@ -275,16 +305,8 @@ def cmd_benchmark(args) -> int:
     if not problem_specs:
         raise ValidationError("no benchmark problems given (flag --problems or config)")
 
-    def _ints(name):
-        text = _opt(args, config, name, None)
-        try:
-            return tuple(int(v) for v in str(text).split(","))
-        except ValueError:
-            raise ValidationError(
-                f"--{name} needs comma-separated integers, got {text!r}") from None
-
-    sizes = _ints("sizes")
-    seeds = _ints("seeds")
+    sizes = _opt_ints(args, config, "sizes")
+    seeds = _opt_ints(args, config, "seeds")
     methods = tuple(str(_opt(args, config, "methods", "maxent,raking")).split(","))
 
     inputs = {}
@@ -295,18 +317,18 @@ def cmd_benchmark(args) -> int:
         inputs[str(path)] = artifacts.digest_file(path)
         problems.append(BenchmarkProblem(spec.get("name", Path(path).stem), cs))
 
-    rake_tol = _opt(args, config, "rake_tol", None)
     grid = BenchmarkGrid(
         problems=tuple(problems),
         sizes=sizes,
         seeds=seeds,
         methods=methods,
-        fit_tol=float(_opt(args, config, "tol", DEFAULT_TOL)),
-        fit_max_iter=int(_opt(args, config, "iters", DEFAULT_MAX_ITER)),
-        rake_iterations=int(_opt(args, config, "rake_iterations", DEFAULT_RAKE_ITERATIONS)),
-        rake_tol=float(rake_tol) if rake_tol is not None else None,
-        enum_cap=int(_opt(args, config, "enum_cap", DEFAULT_ENUM_CAP)),
-        jobs=int(_opt(args, config, "jobs", 1)),
+        fit_tol=_opt_number(args, config, "tol", float, DEFAULT_TOL),
+        fit_max_iter=_opt_number(args, config, "iters", int, DEFAULT_MAX_ITER),
+        rake_iterations=_opt_number(args, config, "rake_iterations", int,
+                                    DEFAULT_RAKE_ITERATIONS),
+        rake_tol=_opt_number(args, config, "rake_tol", float),
+        enum_cap=_opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP),
+        jobs=_opt_number(args, config, "jobs", int, 1),
     )
     report = run_benchmark(grid)
 
@@ -346,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"popmaxent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p):
+    def add_shared(p, capped):
         p.add_argument("--config", help="JSON file with option defaults (flags win)")
         p.add_argument("--enum-cap", dest="enum_cap", type=int,
-                       help=f"max enumerated cells for exact mode (default {DEFAULT_ENUM_CAP})")
+                       help=f"enumeration cap in cells (default {DEFAULT_ENUM_CAP}): {capped}")
 
     p = sub.add_parser("extract", help="extract a budgeted constraint problem")
     p.add_argument("input", help="population file (CSV/TSV, optional __count column)")
@@ -360,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho3", type=float, help="rate of attribute triples to retain")
     p.add_argument("--max-arity", dest="max_arity", type=int,
                    help="highest constraint arity to extract (1, 2, or 3; default 3)")
-    add_shared(p)
+    add_shared(p, "unused, extraction enumerates no space")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit", help="fit a maximum-entropy model to a constraint problem")
@@ -376,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="chain seed (required with --metropolis)")
     p.add_argument("--sweeps", type=int, default=20_000, help="chain sweeps per iteration")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=1_000)
-    add_shared(p)
+    add_shared(p, "bounds the largest clique of the fit's clique tree; the Newton "
+                  "polish runs only on spaces within it, and the model keeps it for sampling")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sample", help="sample an integer population from a model or weights")
@@ -384,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="population CSV to write")
     p.add_argument("-n", "--size", dest="size", type=int, help="population size")
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    add_shared(p)
+    add_shared(p, "unused, sampling uses the cap stored in the model")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("rake", help="rake a weight vector toward the constraint targets")
@@ -400,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="sampling seed (required with --size)")
     p.add_argument("--population-out", dest="population_out",
                    help="population CSV to write when --size is given")
-    add_shared(p)
+    add_shared(p, "bounds the attribute space raking enumerates")
     p.set_defaults(func=cmd_rake)
 
     p = sub.add_parser("eval", help="score a population against a constraint problem")
     p.add_argument("population", help="population CSV")
     p.add_argument("--constraints", required=True, help="constraint problem JSON")
     p.add_argument("--out", help="evaluation JSON to write")
-    add_shared(p)
+    add_shared(p, "unused, scoring enumerates no space")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("benchmark", help="run a (problem, method, size, seed) grid")
@@ -423,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int,
                    help="parallel sampling jobs (default 1)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    add_shared(p)
+    add_shared(p, "bounds the fit's largest clique, and the attribute space that "
+                  "max-ent sampling and raking enumerate")
     p.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -215,15 +215,18 @@ def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
         cs = problem.constraints
         for method in grid.methods:
             if method == "maxent":
+                stage = "fit"
                 try:
                     model, fit = fit_hard(
                         cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter,
                         enum_cap=grid.enum_cap,
                     )
-                    # built here, once, so that no two workers build it
+                    # built here, once, so that no two workers build it; it
+                    # enumerates the space, which the fit's clique tree does not
+                    stage = "sampling"
                     model.alias_table
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    failures.append(f"{problem.name}/{method}: fit failed: {exc}")
+                    failures.append(f"{problem.name}/{method}: {stage} failed: {exc}")
                     continue
 
             def cell_job(n: int, seed: int):

@@ -2,10 +2,12 @@
 
 The model assigns each cell x probability proportional to
 exp(sum_j lambda_j f_j(x)) where f_j is the indicator of constraint j's
-pattern.  In the exact-enumeration regime (cell count within the cap) the
-partition function, moments, and the convex dual objective are computed by
-direct summation; beyond the cap, Metropolis single-site MCMC estimates
-the moments instead.
+pattern.  The partition function, the moments and the convex dual
+objective are computed exactly on the constraint set's clique tree
+(``ScopeLayout.calibrate``) while its largest clique is within the
+enumeration cap; beyond that, Metropolis single-site MCMC estimates the
+moments instead.  Cell probabilities, and with them sampling, enumerate
+the whole space and need the space itself within the cap.
 
 Hard fitting minimizes the dual  log Z(lambda) - lambda . alpha  whose
 gradient is (model moments - targets), by L-BFGS and then, where L-BFGS
@@ -26,9 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
-from scipy.special import logsumexp
 
-from ._dense import DEFAULT_ENUM_CAP, _ScopeGroup, check_cap
+from ._dense import DEFAULT_ENUM_CAP, _ScopeGroup, check_cap, check_clique_cap
 from .core import AttributeSchema, Pattern, Population
 from .errors import ValidationError
 from .extraction import ConstraintSet
@@ -49,8 +50,11 @@ def feature_value(schema: AttributeSchema, pattern: Pattern, cell: int) -> int:
 class FitReport:
     """Diagnostics of one fit: dual value, moment residual, convergence.
 
-    Wall time is a process-local diagnostic and does not take part in
-    equality or serialization byte-determinism.
+    ``evaluations`` counts dual (or moment) evaluations; ``cliques`` and
+    ``largest_clique`` (in cells) describe the clique tree the fit ran
+    on, and are 0 for a fit that ran on none.  Wall time is a
+    process-local diagnostic and does not take part in equality or
+    serialization byte-determinism.
     """
 
     iterations: int
@@ -59,6 +63,9 @@ class FitReport:
     converged: bool
     seconds: float = field(compare=False)
     message: str = ""
+    evaluations: int = 0
+    cliques: int = 0
+    largest_clique: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,12 @@ class MaxEntModel:
     def schema(self) -> AttributeSchema:
         return self.constraints.schema
 
+    def _calibrated(self) -> tuple[float, np.ndarray]:
+        check_clique_cap(self.constraints.layout, self.enum_cap)
+        return self.constraints.layout.calibrate(self.lam)
+
     def log_partition(self) -> float:
-        check_cap(self.schema, self.enum_cap)
-        return float(logsumexp(self.constraints.layout.energies(self.lam)))
+        return float(self._calibrated()[0])
 
     def probabilities(self) -> np.ndarray:
         """Dense cell probabilities in canonical order (exact mode only)."""
@@ -134,13 +144,12 @@ class MaxEntModel:
         return AliasTable(self.probabilities())
 
     def moments(self) -> np.ndarray:
-        return self.constraints.layout.masses(self.probabilities())
+        return self._calibrated()[1]
 
     def dual_objective(self) -> tuple[float, np.ndarray]:
         """Dual value log Z - lambda.alpha and its gradient (moments - targets)."""
-        targets = self.constraints.targets()
-        value = self.log_partition() - float(self.lam @ targets)
-        return value, self.moments() - targets
+        check_clique_cap(self.constraints.layout, self.enum_cap)
+        return _dual_value_grad(self.lam, self.constraints.layout, self.constraints.targets())
 
 
 def _probabilities(lam: np.ndarray, layout) -> np.ndarray:
@@ -168,13 +177,8 @@ def dual_objective(model: MaxEntModel) -> tuple[float, np.ndarray]:
 
 
 def _dual_value_grad(lam, layout, targets):
-    e = layout.energies(lam)
-    mx = e.max()
-    w = np.exp(e - mx)
-    z = w.sum()
-    value = mx + math.log(z) - float(lam @ targets)
-    grad = layout.masses(w / z) - targets
-    return value, grad
+    log_z, masses = layout.calibrate(lam)
+    return log_z - float(lam @ targets), masses - targets
 
 
 def _polish(lam, layout, targets, tol, steps):
@@ -235,21 +239,29 @@ def fit_hard(
     Quasi-Newton minimization of the convex dual from a zero start;
     converged means the residual max_j |E[f_j] - alpha_j| is within
     ``tol``.  Non-convergence is reported in the FitReport, not raised.
+    The dual is evaluated on the clique tree, so the cap applies to its
+    largest clique; the Newton polish enumerates the space and runs only
+    while the space is within the cap.
     """
-    check_cap(constraints.schema, enum_cap)
+    layout = constraints.layout
+    check_clique_cap(layout, enum_cap)
+    clique_fields = dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
     if constraints.m == 0:
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)
-        return model, FitReport(0, math.log(constraints.schema.n_cells), 0.0, True, 0.0)
+        return model, FitReport(0, math.log(constraints.schema.n_cells), 0.0, True, 0.0,
+                                **clique_fields)
 
     uniform_model(constraints, enum_cap)  # validates boundary targets
-    layout = constraints.layout
     targets = constraints.targets()
 
     res, seconds = _minimize(lambda lam: _dual_value_grad(lam, layout, targets),
                              constraints.m, tol, max_iter)
+    lam = res.x
+    residual = float(np.abs(_dual_value_grad(lam, layout, targets)[1]).max())
+    polished = 0
     # status 1: the iteration budget ran out, which the polish must not extend
-    lam, residual, polished = _polish(res.x, layout, targets, tol,
-                                      POLISH_STEPS if res.status != 1 else 0)
+    if residual > tol and res.status != 1 and constraints.schema.n_cells <= enum_cap:
+        lam, residual, polished = _polish(lam, layout, targets, tol, POLISH_STEPS)
     message = str(res.message)
     if polished:
         message += f"; {polished} Newton steps on the residual"
@@ -260,6 +272,8 @@ def fit_hard(
         converged=residual <= tol,
         seconds=seconds,
         message=message,
+        evaluations=int(res.nfev),
+        **clique_fields,
     )
 
 
@@ -279,7 +293,9 @@ def fit_soft(
     converge without error.  ``converged`` refers to the penalized
     gradient; ``residual`` still reports the plain moment residual.
     """
-    check_cap(constraints.schema, enum_cap)
+    layout = constraints.layout
+    check_clique_cap(layout, enum_cap)
+    clique_fields = dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
     m = constraints.m
     weights = cfg.weight_vector(m)
     active = np.flatnonzero(weights > 0.0)
@@ -288,10 +304,10 @@ def fit_soft(
         residual = (
             float(np.abs(model.moments() - constraints.targets()).max()) if m else 0.0
         )
-        return model, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0)
+        return model, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0,
+                                **clique_fields)
 
     uniform_model(constraints, enum_cap)  # validates boundary targets
-    layout = constraints.layout
     targets = constraints.targets()
     inv_bw = 1.0 / (cfg.beta * weights[active])
 
@@ -315,6 +331,8 @@ def fit_soft(
         converged=grad_inf <= tol,
         seconds=seconds,
         message=str(res.message),
+        evaluations=int(res.nfev),
+        **clique_fields,
     )
 
 
@@ -337,12 +355,12 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
     shape = schema.shape
     k = schema.k
     layout = model.constraints.layout
-    tabs = [table.tolist() for table in layout.scope_tables(model.lam)]
-    # (group, stride of the attribute in the group's table) per attribute
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for s_idx, g in enumerate(layout.groups):
+    # (group's table, stride of the attribute in it, group) per attribute
+    touching: list[list[tuple[list, int, int]]] = [[] for _ in range(k)]
+    for s_idx, (g, table) in enumerate(zip(layout.groups, layout.scope_tables(model.lam))):
+        table = table.tolist()
         for attr, stride in zip(g.scope, g.strides):
-            touching[attr].append((s_idx, stride))
+            touching[attr].append((table, stride, s_idx))
     # the full space as one table: its flat entry is the cell code
     space = _ScopeGroup(schema, tuple(range(k)))
     rng = np.random.default_rng(seed)
@@ -352,25 +370,24 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
     cell = space.keys(state)
     flat = [g.keys(state) for g in layout.groups]  # current flat combo per scope
 
-    attrs = rng.integers(0, k, size=sweeps)
-    cat_u = rng.random(sweeps)
-    acc_u = rng.random(sweeps)
+    attrs = rng.integers(0, k, size=sweeps).tolist()
+    cat_u = rng.random(sweeps).tolist()
+    acc_u = rng.random(sweeps).tolist()
 
     visits = array("q")  # int64 cell codes, 8 bytes each
 
-    for t in range(sweeps):
-        a = int(attrs[t])
+    for t, (a, u_cat, u_acc) in enumerate(zip(attrs, cat_u, acc_u)):
         old = state[a]
-        new = int(cat_u[t] * shape[a])
+        new = int(u_cat * shape[a])
         if new != old:
             d_e = 0.0
             deltas = []
-            for s_idx, stride in touching[a]:
+            for table, stride, s_idx in touching[a]:
                 f_old = flat[s_idx]
                 f_new = f_old + (new - old) * stride
-                d_e += tabs[s_idx][f_new] - tabs[s_idx][f_old]
+                d_e += table[f_new] - table[f_old]
                 deltas.append((s_idx, f_new))
-            if d_e >= 0.0 or acc_u[t] < math.exp(d_e):
+            if d_e >= 0.0 or u_acc < math.exp(d_e):
                 state[a] = new
                 cell += (new - old) * cell_strides[a]
                 for s_idx, f_new in deltas:
@@ -435,4 +452,5 @@ def fit_metropolis(
         converged=residual <= tol,
         seconds=time.perf_counter() - t0,
         message="stochastic fit; residual is an MCMC estimate",
+        evaluations=iterations,
     )

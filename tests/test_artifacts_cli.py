@@ -9,7 +9,10 @@ Claims:
     - the CLI pipeline extract -> fit -> sample -> eval runs end to end,
       respects config-file/flag precedence, requires explicit seeds, and
       maps validation, non-convergence, and capacity errors to exit codes
-      2, 3, and 4
+      2, 3, and 4; a config value of the wrong type exits 2 naming its
+      option, and ``sizes``/``seeds`` may be JSON integer lists
+    - fit reports record evaluations and the clique tree, and reports
+      written without those keys still load
     - ``rake`` prints the passes it ran and its last deviation, so an
       early stop on ``--rake-tol`` shows
 """
@@ -37,6 +40,8 @@ from popmaxent.artifacts import (
     load_constraints,
     load_model,
     load_weights,
+    report_from_dict,
+    report_to_dict,
     save_constraints,
     save_model,
     save_weights,
@@ -83,6 +88,20 @@ class TestArtifacts:
         assert np.array_equal(back.lam, model.lam)
         assert back.constraints == model.constraints
         assert back_report == report  # wall time excluded from comparison
+        assert back_report.evaluations >= report.iterations > 0
+        assert back_report.largest_clique == cs.layout.cliques.largest
+
+    def test_report_without_clique_keys_loads(self, problem):
+        pop, _ = problem
+        model, report = fit_hard(extract_constraints(pop, ExtractionBudget.full()))
+        doc = report_to_dict(report)
+        assert doc["seconds"] is None
+        assert (doc["evaluations"], doc["cliques"]) == (report.evaluations, report.cliques)
+        for key in ("evaluations", "cliques", "largest_clique"):
+            del doc[key]
+        old = report_from_dict(doc)
+        assert (old.evaluations, old.cliques, old.largest_clique) == (0, 0, 0)
+        assert old.iterations == report.iterations and old.residual == report.residual
 
     def test_weights_roundtrip(self, tmp_path, problem):
         pop, _ = problem
@@ -135,6 +154,7 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         assert "total    atomic constraints" in out
         assert "converged: True" in out
+        assert re.search(r"evaluations: \d+, cliques: 1, largest clique: \d+ cells", out)
         doc = json.loads(e.read_text())
         assert doc["mre"] < 0.2
         # the sampled file reloads against the constraint schema
@@ -333,6 +353,55 @@ class TestCliPipeline:
         assert main(["benchmark", "--problems", str(c), "--out-dir", str(tmp_path / "b"),
                      *flags]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("fit", {"tol": "tight"}, "--tol"),
+        ("fit", {"iters": 2.5}, "--iters"),
+        ("fit", {"enum_cap": "big"}, "--enum-cap"),
+        ("fit", {"soft_beta": [1]}, "--soft-beta"),
+        ("extract", {"n2": "many"}, "--n2"),
+        ("extract", {"max_arity": "three"}, "--max-arity"),
+        ("rake", {"rake_tol": "x"}, "--rake-tol"),
+        ("sample", {"size": "ten"}, "--size"),
+        ("benchmark", {"jobs": "two"}, "--jobs"),
+        ("benchmark", {"sizes": [100, "x"]}, "--sizes"),
+        ("benchmark", {"seeds": [1, True]}, "--seeds"),
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, problem, capsys, command, config, named):
+        _, source = problem
+        c, m = tmp_path / "c.json", tmp_path / "m.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = {
+            "extract": [str(source), "--out", str(tmp_path / "c2.json")],
+            "fit": [str(c), "--out", str(tmp_path / "m2.json")],
+            "rake": [str(c), "--out", str(tmp_path / "w.json")],
+            "sample": [str(m), "--out", str(tmp_path / "p.csv"), "--seed", "1"],
+            "benchmark": ["--problems", str(c), "--out-dir", str(tmp_path / "b"),
+                          *(["--sizes", "10"] if "sizes" not in config else []),
+                          *(["--seeds", "1"] if "seeds" not in config else [])],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_benchmark_takes_json_lists(self, tmp_path, problem, capsys):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [100, 200], "seeds": [1, 2]}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--problems", str(c), "--methods", "raking",
+                     "--rake-iterations", "5", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        rows = [ln.split(",") for ln in (out / "results.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert sorted((int(r[4]), int(r[5])) for r in rows) == [(100, 1), (100, 2),
+                                                                (200, 1), (200, 2)]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,9 +9,20 @@ Claims:
       attribute, attributes in no scope, duplicated patterns, unary-only
       sets, a single scope group, and no patterns at all
     - scope_tables accumulates duplicated patterns' multipliers
+    - calibrate's log Z and masses on the clique tree agree to 1e-12 with
+      the one-clique path (the whole space through energies and masses)
+      on the same random schemas and on a chain, a cycle that needs a
+      fill-in edge, disconnected components, attributes in no scope,
+      duplicated patterns and unary-only sets; every clique tree has the
+      running intersection property and puts each group in a clique that
+      holds its scope; a separator entry whose upward message underflows
+      to zero gives zero mass, not NaN
+    - the full space is the one clique exactly when the min-fill cliques
+      hold at least as many cells
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +73,32 @@ def check_against_enumeration(schema, patterns, seed=0):
     masses = layout.masses(dense)
     assert masses.shape == (len(patterns),)
     np.testing.assert_allclose(masses, f @ dense, rtol=0, atol=TOL)
+    check_calibration(layout, lam)
+
+
+def check_calibration(layout, lam):
+    """The clique tree's log Z and masses against the one-clique path."""
+    check_tree_structure(layout)
+    e = layout.energies(lam)
+    p = np.exp(e - e.max())
+    log_z, masses = layout.calibrate(lam)
+    assert log_z == pytest.approx(e.max() + math.log(p.sum()), rel=0, abs=TOL)
+    assert masses.shape == lam.shape
+    np.testing.assert_allclose(masses, layout.masses(p / p.sum()), rtol=0, atol=TOL)
+
+
+def check_tree_structure(layout):
+    tree = layout.cliques
+    n = len(tree.axes)
+    assert all(tree.parent[c] < c for c in range(1, n)) and tree.parent[0] == -1
+    for a in range(layout.schema.k):
+        holding = [c for c in range(n) if a in tree.axes[c]]
+        joined = [c for c in holding if c and a in tree.axes[tree.parent[c]]]
+        assert holding and len(joined) == len(holding) - 1, f"attribute {a} is split"
+    assigned = sorted(g for members in tree.members for g in members)
+    assert assigned == list(range(len(layout.groups)))
+    for axes, members in zip(tree.axes, tree.members):
+        assert all(set(layout.groups[g].scope) <= set(axes) for g in members)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -107,3 +144,72 @@ def test_duplicated_patterns():
 
 def test_no_patterns():
     check_against_enumeration(schema_of(2, 3, 2), [])
+
+
+@pytest.mark.parametrize("sizes, scopes, cliques", [
+    # a chain
+    ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4)], 4),
+    # a 5-cycle: min-fill adds two chords
+    ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 3),
+    # two components and a lone unary scope
+    ((3, 2, 4, 3, 3), [(0, 1), (2, 3), (0,), (4,)], 3),
+    # attributes 2 and 4 lie in no scope
+    ((3, 2, 4, 2, 3), [(1, 3), (0, 1)], 4),
+    # unary only
+    ((2, 3, 4, 2, 3), [(0,), (1,), (3,), (4,)], 5),
+    # triples sharing pairs, with a pair inside one of them
+    ((3, 3, 2, 2, 3, 2), [(0, 1, 2), (1, 2, 3), (3, 4, 5), (1, 2)], 3),
+])
+def test_clique_trees(sizes, scopes, cliques):
+    schema = schema_of(*sizes)
+    rng = np.random.default_rng(2)
+    patterns = patterns_over(schema, scopes, rng)
+    patterns += patterns[:2]  # duplicated patterns
+    layout = ScopeLayout(schema, patterns)
+    assert len(layout.cliques.axes) == cliques
+    assert sum(layout.cliques.sizes) < schema.n_cells
+    check_against_enumeration(schema, patterns)
+    check_calibration(layout, 3.0 * rng.normal(size=len(patterns)))
+
+
+def test_the_full_space_is_one_clique_when_cliques_are_no_smaller():
+    schema = schema_of(2, 2, 2, 2)
+    # a 4-cycle: cliques {0, 1, 2} and {0, 2, 3} hold 16 cells, as many as the space
+    layout = ScopeLayout(schema, patterns_over(
+        schema, [(0, 1), (1, 2), (2, 3), (0, 3)], np.random.default_rng(3)))
+    assert layout.cliques.axes == [(0, 1, 2, 3)]
+    assert layout.cliques.largest == 16
+    # with third categories, eliminating attribute 0 first (ties go to the
+    # lowest index) gives cliques {0, 1, 3} and {1, 2, 3}: 45 of 54 cells
+    schema = schema_of(2, 3, 3, 3)
+    layout = ScopeLayout(schema, patterns_over(
+        schema, [(0, 1), (1, 2), (2, 3), (0, 3)], np.random.default_rng(3)))
+    assert layout.cliques.axes == [(0, 1, 3), (1, 2, 3)]
+
+
+def test_an_underflowing_message_gives_zero_mass():
+    schema = schema_of(3, 3, 3)
+    # every cell with attribute 1 at 0 sits 800 nats down in both pair cliques
+    patterns = ([Pattern.of({0: x, 1: 0}) for x in range(3)]
+                + [Pattern.of({1: 0, 2: y}) for y in range(3)] + [Pattern.of({1: 1})])
+    layout = ScopeLayout(schema, patterns)
+    assert len(layout.cliques.axes) == 2
+    lam = np.array([-800.0] * 6 + [0.5])
+    log_z, masses = layout.calibrate(lam)
+    assert math.isfinite(log_z) and np.isfinite(masses).all()
+    assert masses[:6].tolist() == [0.0] * 6
+    check_calibration(layout, lam)
+
+
+def test_one_clique_path_is_the_dense_path_bit_for_bit():
+    rng = np.random.default_rng(4)
+    schema = schema_of(3, 2, 4, 2)
+    layout = ScopeLayout(schema, patterns_over(
+        schema, list(itertools.combinations(range(4), 3)), rng))
+    assert layout.cliques.axes == [(0, 1, 2, 3)]
+    lam = rng.normal(size=layout.combo.size)
+    e = layout.energies(lam)
+    w = np.exp(e - e.max())
+    log_z, masses = layout.calibrate(lam)
+    assert log_z == e.max() + math.log(w.sum())
+    assert np.array_equal(masses, layout.masses(w / w.sum()))

@@ -7,8 +7,9 @@ Claims:
     - MRE shrinks with sample size for a fixed fitted model
     - the grid runner emits one row per (problem, method, n, seed), writes
       the same results table byte for byte on every run and worker count,
-      records fit failures without dying, and the winner gap follows the
-      relative-reduction convention
+      records fit failures without dying (a space over the cap whose
+      cliques fit fails at sampling, and says so), and the winner gap
+      follows the relative-reduction convention
     - a raking row is record-level raking: a unary pool drawn under the
       cell's seed, raked on the constraints it can carry, sampled with
       sample_weighted, and scored on every constraint; its converged flag
@@ -208,6 +209,17 @@ class TestBenchmark:
         assert len(report.failures) == 1
         assert "maxent" in report.failures[0]
         assert [r.method for r in report.rows] == ["raking"]
+
+    def test_space_over_the_cap_fails_at_sampling_not_the_fit(self):
+        # the fit runs on cliques of 2 cells; the alias table needs all 16
+        s = schema_of(2, 2, 2, 2)
+        cs = cs_of(s, [({a: 0}, 0.3 + 0.1 * a) for a in range(4)])
+        grid = BenchmarkGrid(problems=(BenchmarkProblem("wide", cs),), sizes=(50,),
+                             seeds=(1,), methods=("maxent",), enum_cap=8)
+        report = run_benchmark(grid)
+        assert report.rows == []
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("wide/maxent: sampling failed: ")
 
     def test_results_table_shape(self):
         report = run_benchmark(self.grid())
