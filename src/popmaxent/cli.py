@@ -235,11 +235,6 @@ def cmd_rake(args) -> int:
     iters = _opt_number(args, config, "iters", int, DEFAULT_RAKE_ITERATIONS)
     enum_cap = _opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP)
     rake_tol = _opt_number(args, config, "rake_tol", float)
-    if args.size is not None:
-        if args.seed is None:
-            raise ValidationError("sampling a raked population requires --seed")
-        if not args.population_out:
-            raise ValidationError("--size needs --population-out")
     cs = artifacts.load_constraints(args.constraints)
     inputs = {str(args.constraints): artifacts.digest_file(args.constraints)}
 
@@ -251,22 +246,11 @@ def cmd_rake(args) -> int:
     wv, passes, max_dev = _rake(cs, iters, base, rake_tol, enum_cap)
     resolved = {"command": "rake", "constraints": str(args.constraints),
                 "iters": iters, "enum_cap": enum_cap, "rake_tol": rake_tol,
-                "base": str(args.base) if args.base else None,
-                "size": args.size, "seed": args.seed}
+                "base": str(args.base) if args.base else None}
     prov = artifacts.provenance(inputs, resolved)
     artifacts.save_weights(wv, args.out, cs, prov)
     print(f"raked weights ({passes} of {iters} passes, last max factor deviation "
           f"{max_dev:.3g}) -> {args.out}")
-
-    if args.size is not None:
-        pop = sample_weighted(wv, args.size, args.seed)
-        comments = [
-            f"popmaxent {__version__} population",
-            f"input {args.constraints} {inputs[str(args.constraints)]}",
-            f"config {json.dumps(resolved, sort_keys=True)}",
-        ]
-        write_population(pop, args.population_out, counted=True, header_comments=comments)
-        print(f"sampled {args.size} individuals -> {args.population_out}")
     return EXIT_OK
 
 
@@ -368,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"popmaxent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, capped):
-        p.add_argument("--config", help="JSON file with option defaults (flags win)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON file with option defaults (flags win)")
+
+    def add_enum_cap(p, capped):
         p.add_argument("--enum-cap", dest="enum_cap", type=int,
                        help=f"enumeration cap in cells (default {DEFAULT_ENUM_CAP}): {capped}")
 
-    p = sub.add_parser("extract", help="extract a budgeted constraint problem")
+    p = sub.add_parser("extract", parents=[config], help="extract a budgeted constraint problem")
     p.add_argument("input", help="population file (CSV/TSV, optional __count column)")
     p.add_argument("--out", required=True, help="constraint problem JSON to write")
     p.add_argument("--n2", type=int, help="number of attribute pairs to retain")
@@ -382,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho3", type=float, help="rate of attribute triples to retain")
     p.add_argument("--max-arity", dest="max_arity", type=int,
                    help="highest constraint arity to extract (1, 2, or 3; default 3)")
-    add_shared(p, "unused, extraction enumerates no space")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("fit", help="fit a maximum-entropy model to a constraint problem")
+    p = sub.add_parser("fit", parents=[config],
+                       help="fit a maximum-entropy model to a constraint problem")
     p.add_argument("constraints", help="constraint problem JSON")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.add_argument("--tol", type=float, help=f"moment residual tolerance (default {DEFAULT_TOL})")
@@ -398,19 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="chain seed (required with --metropolis)")
     p.add_argument("--sweeps", type=int, default=20_000, help="chain sweeps per iteration")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=1_000)
-    add_shared(p, "bounds the largest clique of the fit's clique tree; the Newton "
-                  "polish runs only on spaces within it, and the model keeps it for sampling")
+    add_enum_cap(p, "bounds the largest clique of the fit's clique tree; the Newton "
+                    "polish runs only on spaces within it, and the model keeps it for sampling")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("sample", help="sample an integer population from a model or weights")
+    p = sub.add_parser("sample", parents=[config],
+                       help="sample an integer population from a model or weights")
     p.add_argument("artifact", help="model or weights JSON")
     p.add_argument("--out", required=True, help="population CSV to write")
     p.add_argument("-n", "--size", dest="size", type=int, help="population size")
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    add_shared(p, "unused, sampling uses the cap stored in the model")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("rake", help="rake a weight vector toward the constraint targets")
+    p = sub.add_parser("rake", parents=[config],
+                       help="rake a weight vector toward the constraint targets")
     p.add_argument("constraints", help="constraint problem JSON")
     p.add_argument("--out", required=True, help="weight vector JSON to write")
     p.add_argument("--iters", type=int,
@@ -418,22 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rake-tol", dest="rake_tol", type=float,
                    help="optional early stop once a pass changes nothing beyond this")
     p.add_argument("--base", help="optional seed population CSV to rake instead of uniform")
-    p.add_argument("-n", "--size", dest="size", type=int,
-                   help="also sample a population of this size")
-    p.add_argument("--seed", type=int, help="sampling seed (required with --size)")
-    p.add_argument("--population-out", dest="population_out",
-                   help="population CSV to write when --size is given")
-    add_shared(p, "bounds the attribute space raking enumerates")
+    add_enum_cap(p, "bounds the attribute space raking enumerates")
     p.set_defaults(func=cmd_rake)
 
     p = sub.add_parser("eval", help="score a population against a constraint problem")
     p.add_argument("population", help="population CSV")
     p.add_argument("--constraints", required=True, help="constraint problem JSON")
     p.add_argument("--out", help="evaluation JSON to write")
-    add_shared(p, "unused, scoring enumerates no space")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("benchmark", help="run a (problem, method, size, seed) grid")
+    p = sub.add_parser("benchmark", parents=[config],
+                       help="run a (problem, method, size, seed) grid")
     p.add_argument("--problems", help="comma-separated constraint problem JSON paths")
     p.add_argument("--sizes", help="comma-separated population sizes")
     p.add_argument("--seeds", help="comma-separated sampling seeds")
@@ -446,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int,
                    help="parallel sampling jobs (default 1)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    add_shared(p, "bounds the fit's largest clique, and the attribute space that "
-                  "max-ent sampling and raking enumerate")
+    add_enum_cap(p, "bounds the fit's largest clique, and the attribute space that "
+                    "max-ent sampling and raking enumerate")
     p.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -9,10 +9,11 @@ enumeration cap; beyond that, Metropolis single-site MCMC estimates the
 moments instead.  Cell probabilities, and with them sampling, enumerate
 the whole space and need the space itself within the cap.
 
-Hard fitting minimizes the dual  log Z(lambda) - lambda . alpha  whose
-gradient is (model moments - targets), by L-BFGS and then, where L-BFGS
-stops on a dual flat to rounding before the tolerance, by Newton steps
-on the gradient alone.  Soft fitting adds the quadratic multiplier
+Hard and soft fits run one L-BFGS driver on the convex dual
+log Z(lambda) - lambda . alpha, whose gradient is (model moments -
+targets).  A hard fit is the driver with no penalty; where L-BFGS stops
+on a dual flat to rounding before the tolerance, Newton steps on the
+gradient alone finish it.  A soft fit adds the quadratic multiplier
 penalty  sum_j lambda_j^2 / (2 beta w_j), the dual form of the
 entropy-versus-fidelity trade-off with per-constraint weights.
 """
@@ -23,7 +24,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -113,12 +114,12 @@ class MaxEntModel:
             raise ValidationError(
                 f"lambda length {lam.shape} does not match {self.constraints.m} constraints"
             )
-        for c in self.constraints.constraints:
-            if c.target >= 1.0:
-                raise ValidationError(
-                    "target frequency 1 is a boundary case not attained at finite "
-                    f"multipliers (pattern {c.pattern.fixed})"
-                )
+        over = np.flatnonzero(self.constraints.targets() >= 1.0)
+        if over.size:
+            raise ValidationError(
+                "target frequency 1 is a boundary case not attained at finite "
+                f"multipliers (pattern {self.constraints.constraints[over[0]].pattern.fixed})"
+            )
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -181,7 +182,7 @@ def _dual_value_grad(lam, layout, targets):
     return log_z - float(lam @ targets), masses - targets
 
 
-def _polish(lam, layout, targets, tol, steps):
+def _polish(lam, layout, targets, tol):
     """Newton steps on the moment residual; returns (lam, residual, steps taken).
 
     L-BFGS compares dual values.  Once the residual is below about
@@ -198,7 +199,7 @@ def _polish(lam, layout, targets, tol, steps):
     mu = layout.masses(p)
     residual = float(np.abs(mu - targets).max())
     taken = 0
-    while taken < steps and residual > tol:
+    while taken < POLISH_STEPS and residual > tol:
         hess = LinearOperator(
             (lam.size, lam.size), dtype=np.float64,
             matvec=lambda v: layout.masses(p * layout.energies(v)) - mu * float(mu @ v),
@@ -214,19 +215,6 @@ def _polish(lam, layout, targets, tol, steps):
     return lam, residual, taken
 
 
-def _minimize(fun, m, tol, max_iter):
-    t0 = time.perf_counter()
-    res = minimize(
-        fun,
-        np.zeros(m),
-        jac=True,
-        method="L-BFGS-B",
-        options=dict(maxiter=max_iter, maxfun=20 * max_iter, maxcor=10,
-                     gtol=tol, ftol=1e-18),
-    )
-    return res, time.perf_counter() - t0
-
-
 def fit_hard(
     constraints: ConstraintSet,
     *,
@@ -234,47 +222,12 @@ def fit_hard(
     max_iter: int = DEFAULT_MAX_ITER,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[MaxEntModel, FitReport]:
-    """Fit multipliers so model moments match the targets.
+    """Fit multipliers so model moments match the targets (see :func:`_fit`).
 
-    Quasi-Newton minimization of the convex dual from a zero start;
-    converged means the residual max_j |E[f_j] - alpha_j| is within
-    ``tol``.  Non-convergence is reported in the FitReport, not raised.
-    The dual is evaluated on the clique tree, so the cap applies to its
-    largest clique; the Newton polish enumerates the space and runs only
-    while the space is within the cap.
+    Converged means the residual max_j |E[f_j] - alpha_j| is within
+    ``tol``; non-convergence is reported in the FitReport, not raised.
     """
-    layout = constraints.layout
-    check_clique_cap(layout, enum_cap)
-    clique_fields = dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
-    if constraints.m == 0:
-        model = MaxEntModel(constraints, np.zeros(0), enum_cap)
-        return model, FitReport(0, math.log(constraints.schema.n_cells), 0.0, True, 0.0,
-                                **clique_fields)
-
-    uniform_model(constraints, enum_cap)  # validates boundary targets
-    targets = constraints.targets()
-
-    res, seconds = _minimize(lambda lam: _dual_value_grad(lam, layout, targets),
-                             constraints.m, tol, max_iter)
-    lam = res.x
-    residual = float(np.abs(_dual_value_grad(lam, layout, targets)[1]).max())
-    polished = 0
-    # status 1: the iteration budget ran out, which the polish must not extend
-    if residual > tol and res.status != 1 and constraints.schema.n_cells <= enum_cap:
-        lam, residual, polished = _polish(lam, layout, targets, tol, POLISH_STEPS)
-    message = str(res.message)
-    if polished:
-        message += f"; {polished} Newton steps on the residual"
-    return MaxEntModel(constraints, lam, enum_cap), FitReport(
-        iterations=int(res.nit),
-        dual_value=float(res.fun),
-        residual=residual,
-        converged=residual <= tol,
-        seconds=seconds,
-        message=message,
-        evaluations=int(res.nfev),
-        **clique_fields,
-    )
+    return _fit(constraints, None, tol, max_iter, enum_cap)
 
 
 def fit_soft(
@@ -287,50 +240,70 @@ def fit_soft(
 ) -> tuple[MaxEntModel, FitReport]:
     """Fit with the quadratic multiplier penalty instead of hard moments.
 
-    Minimizes  dual(lambda) + sum_j lambda_j^2 / (2 beta w_j)  over the
-    constraints with positive weight; zero-weight constraints keep a zero
-    multiplier.  Residuals shrink as beta grows and inconsistent targets
-    converge without error.  ``converged`` refers to the penalized
-    gradient; ``residual`` still reports the plain moment residual.
+    Residuals shrink as beta grows and inconsistent targets converge
+    without error.  ``converged`` refers to the penalized gradient;
+    ``residual`` still reports the plain moment residual.
+    """
+    return _fit(constraints, cfg, tol, max_iter, enum_cap)
+
+
+def _fit(constraints, soft, tol, max_iter, enum_cap):
+    """L-BFGS on the dual from a zero start; hard when ``soft`` is None.
+
+    A soft fit adds  sum_j lambda_j^2 / (2 beta w_j)  over its positive-weight
+    constraints and holds the others at zero.  The dual runs on the clique
+    tree, so the cap bounds its largest clique; a hard fit's Newton polish
+    enumerates the space and runs only while the space is within the cap.
     """
     layout = constraints.layout
     check_clique_cap(layout, enum_cap)
     clique_fields = dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
     m = constraints.m
-    weights = cfg.weight_vector(m)
-    active = np.flatnonzero(weights > 0.0)
-    if m == 0 or active.size == 0:
-        model = MaxEntModel(constraints, np.zeros(m), enum_cap)
-        residual = (
-            float(np.abs(model.moments() - constraints.targets()).max()) if m else 0.0
-        )
-        return model, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0,
-                                **clique_fields)
-
-    uniform_model(constraints, enum_cap)  # validates boundary targets
+    zero = MaxEntModel(constraints, np.zeros(m), enum_cap)  # rejects targets of 1
     targets = constraints.targets()
-    inv_bw = 1.0 / (cfg.beta * weights[active])
+    if soft is None:
+        active = np.arange(m)
+        fun = partial(_dual_value_grad, layout=layout, targets=targets)
+    else:
+        weights = soft.weight_vector(m)
+        active = np.flatnonzero(weights > 0.0)
+        inv_bw = 1.0 / (soft.beta * weights[active])
 
-    def fun(lam_active):
-        lam = np.zeros(m)
-        lam[active] = lam_active
-        value, grad = _dual_value_grad(lam, layout, targets)
-        value += 0.5 * float(lam_active @ (inv_bw * lam_active))
-        return value, grad[active] + inv_bw * lam_active
+        def fun(lam_active):
+            lam = np.zeros(m)
+            lam[active] = lam_active
+            value, grad = _dual_value_grad(lam, layout, targets)
+            value += 0.5 * float(lam_active @ (inv_bw * lam_active))
+            return value, grad[active] + inv_bw * lam_active
 
-    res, seconds = _minimize(fun, active.size, tol, max_iter)
+    if active.size == 0:
+        residual = float(np.abs(zero.moments() - targets).max()) if m else 0.0
+        return zero, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0,
+                               **clique_fields)
+
+    t0 = time.perf_counter()
+    res = minimize(fun, np.zeros(active.size), jac=True, method="L-BFGS-B",
+                   options=dict(maxiter=max_iter, maxfun=20 * max_iter, maxcor=10,
+                                gtol=tol, ftol=1e-18))
+    seconds = time.perf_counter() - t0
     lam = np.zeros(m)
     lam[active] = res.x
-    model = MaxEntModel(constraints, lam, enum_cap)
-    residual = float(np.abs(model.moments() - targets).max())
-    grad_inf = float(np.abs(res.jac).max())
-    return model, FitReport(
+    residual = float(np.abs(_dual_value_grad(lam, layout, targets)[1]).max())
+    message = str(res.message)
+    # status 1: the iteration budget ran out, which the polish must not extend
+    if soft is None and residual > tol and res.status != 1 and (
+            constraints.schema.n_cells <= enum_cap):
+        lam, residual, polished = _polish(lam, layout, targets, tol)
+        if polished:
+            message += f"; {polished} Newton steps on the residual"
+    converged = (residual if soft is None else float(np.abs(res.jac).max())) <= tol
+    return MaxEntModel(constraints, lam, enum_cap), FitReport(
         iterations=int(res.nit),
         dual_value=float(res.fun),
         residual=residual,
-        converged=grad_inf <= tol,
+        converged=converged,
         seconds=seconds,
-        message=str(res.message),
+        message=message,
         evaluations=int(res.nfev),
         **clique_fields,
     )

@@ -15,6 +15,9 @@ Claims:
       written without those keys still load
     - ``rake`` prints the passes it ran and its last deviation, so an
       early stop on ``--rake-tol`` shows
+    - flags that did nothing (``--enum-cap`` on extract, sample and eval,
+      ``--config`` on eval) and ``rake``'s own sampling flags are rejected
+      with exit 2 before anything is written
 """
 
 import json
@@ -286,21 +289,45 @@ class TestCliPipeline:
         main(["extract", str(source), "--out", str(c)])
         w = tmp_path / "w.json"
         p = tmp_path / "rp.csv"
-        assert main(["rake", str(c), "--out", str(w), "--iters", "100",
-                     "-n", "1000", "--seed", "4", "--population-out", str(p)]) == 0
+        assert main(["rake", str(c), "--out", str(w), "--iters", "100"]) == 0
+        assert main(["sample", str(w), "--out", str(p), "-n", "1000", "--seed", "4"]) == 0
         cs = load_constraints(c)
         pop = read_population(p, schema=cs.schema)
         assert pop.total == 1000
 
-    @pytest.mark.parametrize("flags", [["-n", "10"],
-                                       ["-n", "10", "--seed", "4"]])
-    def test_rake_checks_sampling_flags_before_writing(self, tmp_path, problem, flags):
+    @pytest.mark.parametrize("command, flags", [
+        ("extract", ["--enum-cap", "4"]),
+        ("sample", ["--enum-cap", "4"]),
+        ("eval", ["--enum-cap", "4"]),
+        ("eval", ["--config", "cfg.json"]),
+        ("rake", ["-n", "10"]),
+        ("rake", ["-n", "10", "--seed", "4"]),
+        ("rake", ["--seed", "4"]),
+        ("rake", ["--population-out", "p.csv"]),
+    ], ids=["extract-enum-cap", "sample-enum-cap", "eval-enum-cap", "eval-config",
+            "rake-size", "rake-size-seed", "rake-seed", "rake-population-out"])
+    def test_removed_flags_exit_2(self, tmp_path, problem, command, flags):
+        # flags that did nothing, or that sampled what `sample` draws from
+        # the weights file, are gone: argparse rejects them before any work
         _, source = problem
-        c = tmp_path / "c.json"
+        c, m = tmp_path / "c.json", tmp_path / "m.json"
         main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
-        w = tmp_path / "w.json"
-        assert main(["rake", str(c), "--out", str(w), *flags]) == 2
-        assert not w.exists()
+        main(["fit", str(c), "--out", str(m)])
+        main(["sample", str(m), "--out", str(tmp_path / "pop.csv"), "-n", "10", "--seed", "1"])
+        (tmp_path / "cfg.json").write_text("{}")
+        out = tmp_path / "out"
+        argv = {
+            "extract": [str(source), "--out", str(out)],
+            "sample": [str(m), "--out", str(out), "--seed", "1"],
+            "eval": [str(tmp_path / "pop.csv"), "--constraints", str(c), "--out", str(out)],
+            "rake": [str(c), "--out", str(out)],
+        }[command]
+        flags = [str(tmp_path / f) if f.endswith((".json", ".csv")) else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert not (tmp_path / "p.csv").exists()
 
     def test_config_file_with_flag_precedence(self, tmp_path, problem):
         _, source = problem

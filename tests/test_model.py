@@ -13,7 +13,11 @@ Claims:
       fitted distribution unchanged
     - soft fit: residual decreases in beta, approaches the hard fit at
       large beta, tolerates inconsistent targets, drops zero-weight
-      constraints
+      constraints, rejects targets of 1, reports its evaluations and
+      clique tree, and runs on the tree beyond the enumeration cap (and
+      raises CapacityError when the cap is below the largest clique)
+    - a target of 1 is rejected with a message naming the first such
+      pattern
     - sampling is seeded-deterministic with binomial-level concentration
     - Metropolis estimates agree with exact moments, also over 2^30 cells
       where the chain keeps only the cells it visits; boundary targets and
@@ -271,6 +275,15 @@ class TestFitHard:
         with pytest.raises(ValidationError):
             fit_hard(cs)
 
+    def test_boundary_message_names_the_first_such_pattern(self):
+        s = schema_of(2, 2)
+        cs = cs_of(s, [({0: 0}, 0.5), ({1: 1}, 1.0), ({0: 1}, 1.0)])
+        expected = ("target frequency 1 is a boundary case not attained at finite "
+                    f"multipliers (pattern {cs.constraints[1].pattern.fixed})")
+        with pytest.raises(ValidationError) as exc:
+            MaxEntModel(cs, np.zeros(cs.m))
+        assert str(exc.value) == expected
+
 
 @functools.lru_cache(maxsize=None)
 def binary_mixture_fit(k):
@@ -369,6 +382,29 @@ class TestFitSoft:
         assert report.converged
         assert np.allclose(model.probabilities(), 0.25, atol=1e-15)
         assert np.all(model.lam == 0.0)
+
+    def test_report_counts_evaluations_and_cliques(self):
+        pop = mixture_population(3, 400, seed=7)
+        cs = extract_constraints(pop, ExtractionBudget.full())
+        _, report = fit_soft(cs, SoftFitConfig(beta=1e4))
+        assert report.evaluations >= report.iterations > 0
+        assert report.cliques == 1 and report.largest_clique == cs.schema.n_cells
+
+    def test_boundary_target_rejected(self):
+        s = schema_of(2, 2)
+        cs = cs_of(s, [({0: 0}, 1.0)])
+        with pytest.raises(ValidationError):
+            fit_soft(cs, SoftFitConfig(beta=10.0))
+
+    def test_runs_on_the_clique_tree(self):
+        cs, _, hard = binary_mixture_fit(30)
+        model, report = fit_soft(cs, SoftFitConfig(beta=1e6))
+        assert report.converged
+        assert report.cliques == hard.cliques > 1
+        assert report.largest_clique == hard.largest_clique <= 2 ** 11
+        assert report.residual == float(np.abs(model_moments(model) - cs.targets()).max())
+        with pytest.raises(CapacityError):
+            fit_soft(cs, SoftFitConfig(beta=1e6), enum_cap=report.largest_clique - 1)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValidationError):
