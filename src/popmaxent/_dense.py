@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AttributeSchema, Pattern
+from .core import AttributeSchema, Pattern, _ScopeGroup
 from .errors import CapacityError
 
 DEFAULT_ENUM_CAP = 2 ** 24
@@ -69,7 +69,8 @@ def check_cap(schema: AttributeSchema, cap: int) -> None:
     if schema.n_cells > cap:
         raise CapacityError(
             f"attribute space has {schema.n_cells} cells, over the enumeration cap "
-            f"{cap}; use Metropolis estimation or raise the cap"
+            f"{cap}, and this step enumerates every cell; raise the cap (enum_cap) "
+            "or use fewer attributes or categories"
         )
 
 
@@ -80,26 +81,6 @@ def check_clique_cap(layout: ScopeLayout, cap: int) -> None:
             f"the largest clique of the scope graph has {largest} cells, over the "
             f"enumeration cap {cap}; use Metropolis estimation or raise the cap"
         )
-
-
-class _ScopeGroup:
-    """The flat table of one attribute scope, in row-major order over the scope."""
-
-    __slots__ = ("scope", "shape", "size", "strides")
-
-    def __init__(self, schema: AttributeSchema, scope: tuple[int, ...]):
-        self.scope = scope
-        self.shape = tuple(schema.shape[a] for a in scope)
-        self.size = math.prod(self.shape)
-        self.strides = tuple(math.prod(self.shape[pos + 1:]) for pos in range(len(scope)))
-
-    def keys(self, coords):
-        """Flat table entry of ``coords``, indexed by attribute.
-
-        ``coords[a]`` is a category index, or an array of them (one per
-        cell), for every attribute ``a`` of the scope.
-        """
-        return sum(coords[a] * stride for a, stride in zip(self.scope, self.strides))
 
 
 class _SumOutTree:

@@ -45,19 +45,35 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CAPACITY = 4
 
 
-def _load_config(args) -> dict:
+class _Config(dict):
+    """A config file's options, and the names a command has looked up."""
+
+    def __init__(self, doc=()):
+        super().__init__(doc)
+        self.read: set[str] = set()
+
+    def check_read(self, command: str) -> None:
+        """Reject the keys ``command`` did not look up, so none is silently dropped."""
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ValidationError(f"popmaxent {command} does not read config key(s) "
+                                  f"{', '.join(map(repr, unread))}")
+
+
+def _load_config(args) -> _Config:
     path = getattr(args, "config", None)
     if not path:
-        return {}
+        return _Config()
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
-    return doc
+    return _Config(doc)
 
 
-def _opt(args, config: dict, name: str, default):
+def _opt(args, config: _Config, name: str, default):
     """Flag value if given, else config value, else default."""
+    config.read.add(name)
     value = getattr(args, name, None)
     if value is not None:
         return value
@@ -79,13 +95,13 @@ def _number(name: str, value, kind):
             f"--{name.replace('_', '-')} needs {noun}, got {value!r}") from None
 
 
-def _opt_number(args, config: dict, name: str, kind, default=None):
+def _opt_number(args, config: _Config, name: str, kind, default=None):
     """:func:`_opt` as ``kind`` (int or float); None stays None."""
     value = _opt(args, config, name, default)
     return None if value is None else _number(name, value, kind)
 
 
-def _opt_ints(args, config: dict, name: str) -> tuple[int, ...]:
+def _opt_ints(args, config: _Config, name: str) -> tuple[int, ...]:
     """Comma-separated integers from a flag or config string, or a config list."""
     value = _opt(args, config, name, None)
     items = value if isinstance(value, list) else str(value).split(",")
@@ -96,7 +112,7 @@ def _opt_ints(args, config: dict, name: str) -> tuple[int, ...]:
             f"--{name} needs comma-separated integers, got {value!r}") from None
 
 
-def _parse_budget(args, config: dict, label: str) -> ArityBudget | None:
+def _parse_budget(args, config: _Config, label: str) -> ArityBudget | None:
     count = _opt_number(args, config, f"n{label}", int)
     rate = _opt_number(args, config, f"rho{label}", float)
     if count is not None and rate is not None:
@@ -119,6 +135,7 @@ def cmd_extract(args) -> int:
         binary=binary if max_arity >= 2 else None,
         ternary=ternary if max_arity >= 3 else None,
     )
+    config.check_read("extract")
 
     pop = read_population(args.input)
     cs = extract_constraints(pop, budget)
@@ -149,6 +166,10 @@ def cmd_fit(args) -> int:
     enum_cap = _opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP)
     soft_beta = _opt_number(args, config, "soft_beta", float)
     weights_path = _opt(args, config, "weights", None)
+    seed = _opt_number(args, config, "seed", int)
+    sweeps = _opt_number(args, config, "sweeps", int, 20_000)
+    burn_in = _opt_number(args, config, "burn_in", int, 1_000)
+    config.check_read("fit")
 
     cs = artifacts.load_constraints(args.constraints)
     inputs = {str(args.constraints): artifacts.digest_file(args.constraints)}
@@ -163,16 +184,15 @@ def cmd_fit(args) -> int:
         print("warning: empty constraint set; fitting the uniform model", file=sys.stderr)
 
     if args.metropolis:
-        if args.seed is None:
+        if seed is None:
             raise ValidationError("--metropolis fitting requires --seed")
         # the stochastic fit counts gradient steps, not dual iterations, so
         # an unspecified --iters falls back to its own default of 200
         sgd_iters = raw_iters if raw_iters is not None else 200
-        resolved.update(seed=args.seed, sweeps=args.sweeps, burn_in=args.burn_in,
-                        iters=sgd_iters)
+        resolved.update(seed=seed, sweeps=sweeps, burn_in=burn_in, iters=sgd_iters)
         model, report = fit_metropolis(
-            cs, seed=args.seed, iterations=sgd_iters,
-            sweeps=args.sweeps, burn_in=args.burn_in, tol=tol, enum_cap=enum_cap,
+            cs, seed=seed, iterations=sgd_iters,
+            sweeps=sweeps, burn_in=burn_in, tol=tol, enum_cap=enum_cap,
         )
     elif soft_beta is not None:
         wvec = None
@@ -213,6 +233,7 @@ def cmd_sample(args) -> int:
     n = _opt_number(args, config, "size", int, 0)
     if n < 1:
         raise ValidationError("--size must be a positive individual count")
+    config.check_read("sample")
     kind, dist = _load_distribution(args.artifact)
     if kind == "model":
         pop = sample_population(dist, n, args.seed)
@@ -235,18 +256,20 @@ def cmd_rake(args) -> int:
     iters = _opt_number(args, config, "iters", int, DEFAULT_RAKE_ITERATIONS)
     enum_cap = _opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP)
     rake_tol = _opt_number(args, config, "rake_tol", float)
+    base_path = _opt(args, config, "base", None)
+    config.check_read("rake")
     cs = artifacts.load_constraints(args.constraints)
     inputs = {str(args.constraints): artifacts.digest_file(args.constraints)}
 
     base = None
-    if args.base:
-        base = read_population(args.base, schema=cs.schema)
-        inputs[str(args.base)] = artifacts.digest_file(args.base)
+    if base_path:
+        base = read_population(base_path, schema=cs.schema)
+        inputs[str(base_path)] = artifacts.digest_file(base_path)
 
     wv, passes, max_dev = _rake(cs, iters, base, rake_tol, enum_cap)
     resolved = {"command": "rake", "constraints": str(args.constraints),
                 "iters": iters, "enum_cap": enum_cap, "rake_tol": rake_tol,
-                "base": str(args.base) if args.base else None}
+                "base": str(base_path) if base_path else None}
     prov = artifacts.provenance(inputs, resolved)
     artifacts.save_weights(wv, args.out, cs, prov)
     print(f"raked weights ({passes} of {iters} passes, last max factor deviation "
@@ -280,12 +303,10 @@ def cmd_eval(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = _load_config(args)
-    problem_specs = []
-    if args.problems:
-        for path in args.problems.split(","):
-            problem_specs.append({"name": Path(path).stem, "constraints": path})
-    elif "problems" in config:
-        problem_specs = config["problems"]
+    problem_specs = _opt(args, config, "problems", None)
+    if isinstance(problem_specs, str):
+        problem_specs = [{"name": Path(path).stem, "constraints": path}
+                         for path in problem_specs.split(",")]
     if not problem_specs:
         raise ValidationError("no benchmark problems given (flag --problems or config)")
 
@@ -314,6 +335,7 @@ def cmd_benchmark(args) -> int:
         enum_cap=_opt_number(args, config, "enum_cap", int, DEFAULT_ENUM_CAP),
         jobs=_opt_number(args, config, "jobs", int, 1),
     )
+    config.check_read("benchmark")
     report = run_benchmark(grid)
 
     resolved = {
@@ -382,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metropolis", action="store_true",
                    help="stochastic fit with Metropolis moment estimates (over-cap fallback)")
     p.add_argument("--seed", type=int, help="chain seed (required with --metropolis)")
-    p.add_argument("--sweeps", type=int, default=20_000, help="chain sweeps per iteration")
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=1_000)
+    p.add_argument("--sweeps", type=int, help="chain sweeps per iteration (default 20000)")
+    p.add_argument("--burn-in", dest="burn_in", type=int,
+                   help="chain sweeps discarded per iteration (default 1000)")
     add_enum_cap(p, "bounds the largest clique of the fit's clique tree; the Newton "
                     "polish runs only on spaces within it, and the model keeps it for sampling")
     p.set_defaults(func=cmd_fit)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 MAX_PATTERN_ARITY = 3
 
@@ -106,6 +106,20 @@ def encode_cell(schema: AttributeSchema, assignment: Sequence[int]) -> int:
             raise ValidationError(f"category index {a} out of range for domain size {d}")
         code = code * d + a
     return code
+
+
+def cell_codes(schema: AttributeSchema, coords) -> np.ndarray:
+    """Cell codes of category indices given per attribute, ``(K, n)`` as
+    :meth:`Population.coords` returns them.
+
+    Codes are int64, so a space over 2^63 - 1 cells has none.
+    """
+    if schema.n_cells > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"attribute space has {schema.n_cells} cells, over the 2^63 - 1 cells "
+            "that int64 cell codes can address; use fewer attributes or categories"
+        )
+    return np.ravel_multi_index(coords, schema.shape)
 
 
 def decode_cell(schema: AttributeSchema, cell: int) -> tuple[int, ...]:
@@ -311,6 +325,26 @@ def check_scope(pop: Population, scope: Sequence[int]) -> tuple[int, ...]:
     return scope
 
 
+class _ScopeGroup:
+    """The flat table of one attribute scope, in row-major order over the scope."""
+
+    __slots__ = ("scope", "shape", "size", "strides")
+
+    def __init__(self, schema: AttributeSchema, scope: tuple[int, ...]):
+        self.scope = scope
+        self.shape = tuple(schema.shape[a] for a in scope)
+        self.size = math.prod(self.shape)
+        self.strides = tuple(math.prod(self.shape[pos + 1:]) for pos in range(len(scope)))
+
+    def keys(self, coords):
+        """Flat table entry of ``coords``, indexed by attribute.
+
+        ``coords[a]`` is a category index, or an array of them (one per
+        cell), for every attribute ``a`` of the scope.
+        """
+        return sum(coords[a] * stride for a, stride in zip(self.scope, self.strides))
+
+
 # index entries per bincount call of scope_counts, so that a batch of many
 # scopes over many stored cells is counted in bounded memory
 _COUNT_CHUNK = 1 << 18
@@ -324,19 +358,17 @@ def scope_counts(pop: Population, scopes: Sequence[Sequence[int]]) -> np.ndarray
     Counts are exact integers held as floats.  Scopes are not validated.
     """
     scopes = np.asarray(scopes, dtype=np.intp)
-    sizes = np.asarray(pop.schema.shape, dtype=np.intp)
-    shape = tuple(int(d) for d in sizes[scopes[0]])
-    if np.any(sizes[scopes] != shape):
+    group = _ScopeGroup(pop.schema, tuple(scopes[0].tolist()))
+    shape, size = group.shape, group.size
+    if np.any(np.asarray(pop.schema.shape)[scopes] != shape):
         raise ValidationError("scope_counts needs scopes of one domain shape")
-    size = math.prod(shape)
-    strides = [math.prod(shape[p + 1:]) for p in range(len(shape))]
     coords = pop.coords()
     out = np.empty((len(scopes), size))
     step = max(1, _COUNT_CHUNK // max(len(pop.cells), 1))
     for lo in range(0, len(scopes), step):
         block = scopes[lo:lo + step]
         key = np.repeat(np.arange(len(block)) * size, len(pop.cells)).reshape(len(block), -1)
-        for p, stride in enumerate(strides):
+        for p, stride in enumerate(group.strides):
             key += coords[block[:, p]] * stride
         out[lo:lo + step] = np.bincount(
             key.ravel(), weights=np.tile(pop.counts, len(block)), minlength=len(block) * size
@@ -466,9 +498,7 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
             domains.append((name, ordered))
         schema = AttributeSchema.from_domains(domains)
 
-    codes = np.ravel_multi_index(
-        np.array(assignments, dtype=np.intp).reshape(-1, schema.k).T, schema.shape
-    )
+    codes = cell_codes(schema, np.array(assignments, dtype=np.intp).reshape(-1, schema.k).T)
     cells, inverse = np.unique(codes, return_inverse=True)
     counts = np.zeros(len(cells), dtype=np.int64)
     np.add.at(counts, inverse, np.array(mults, dtype=np.int64))

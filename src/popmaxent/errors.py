@@ -39,8 +39,9 @@ class ConvergenceError(PopmaxentError, RuntimeError):
 
 
 class CapacityError(PopmaxentError, RuntimeError):
-    """The enumerated attribute space exceeds the configured cell cap.
+    """The attribute space is too large for the operation.
 
-    Exact-enumeration operations fail fast with this error; Metropolis
-    estimation is the documented fallback for larger spaces.
+    Operations that enumerate every cell (or a clique's cells) fail fast
+    when the count exceeds the configured cell cap; cell codes fail on
+    spaces over 2^63 - 1 cells.
     """

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 
-from ._dense import DEFAULT_ENUM_CAP, _ScopeGroup, check_cap, check_clique_cap
-from .core import AttributeSchema, Pattern, Population
+from ._dense import DEFAULT_ENUM_CAP, check_cap, check_clique_cap
+from .core import AttributeSchema, Pattern, Population, _ScopeGroup
 from .errors import ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population

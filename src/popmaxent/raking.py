@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap
-from .core import AttributeSchema, Population
+from .core import AttributeSchema, Population, cell_codes
 from .errors import UnmatchableConstraintError, ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
@@ -286,7 +286,7 @@ def unary_pool(constraints: ConstraintSet, n: int, seed) -> Population:
     schema = constraints.schema
     rng = np.random.default_rng(seed)
     rows = [rng.choice(p.size, size=n, p=p) for p in unary_probabilities(constraints)]
-    return Population.from_codes(schema, np.ravel_multi_index(rows, schema.shape))
+    return Population.from_codes(schema, cell_codes(schema, rows))
 
 
 def pool_constraints(constraints: ConstraintSet, pool: Population) -> ConstraintSet:

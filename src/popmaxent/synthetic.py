@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttributeSchema, Population
+from .core import AttributeSchema, Population, cell_codes
 from .errors import ValidationError
 
 
@@ -48,7 +48,7 @@ def mixture_population(
         idx = np.flatnonzero(which == c)
         for a, d in enumerate(sizes):
             rows[idx, a] = rng.choice(d, size=idx.size, p=probs[c][a])
-    return Population.from_codes(schema, np.ravel_multi_index(tuple(rows.T), schema.shape))
+    return Population.from_codes(schema, cell_codes(schema, rows.T))
 
 
 def parity_chain_population(
@@ -75,4 +75,4 @@ def parity_chain_population(
         noise = rng.random(n) < flip
         rows[:, a] = (rows[:, a - 1] ^ rows[:, a - 2]) ^ noise
     schema = _schema([2] * k)
-    return Population.from_codes(schema, np.ravel_multi_index(tuple(rows.T), schema.shape))
+    return Population.from_codes(schema, cell_codes(schema, rows.T))

@@ -10,7 +10,9 @@ Claims:
       respects config-file/flag precedence, requires explicit seeds, and
       maps validation, non-convergence, and capacity errors to exit codes
       2, 3, and 4; a config value of the wrong type exits 2 naming its
-      option, and ``sizes``/``seeds`` may be JSON integer lists
+      option, and ``sizes``/``seeds`` may be JSON integer lists; a config
+      key is either read by its command or rejected with exit 2, naming the
+      key and the command, before anything is written
     - fit reports record evaluations and the clique tree, and reports
       written without those keys still load
     - ``rake`` prints the passes it ran and its last deviation, so an
@@ -205,6 +207,16 @@ class TestCliPipeline:
         main(["extract", str(source), "--out", str(c)])
         assert main(["fit", str(c), "--out", str(tmp_path / "m.json"),
                      "--enum-cap", "4"]) == 4
+
+    def test_extract_over_int64_cells_exits_4(self, tmp_path, capsys):
+        # 32 attributes of 4 categories: 2^64 cells, past int64 cell codes
+        source = tmp_path / "wide.csv"
+        source.write_text("\n".join([",".join(f"A{i}" for i in range(32))]
+                                    + [",".join([str(r)] * 32) for r in range(4)]))
+        out = tmp_path / "c.json"
+        assert main(["extract", str(source), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "2^63 - 1 cells" in err and "Traceback" not in err and not out.exists()
 
     def test_non_convergence_exits_3(self, tmp_path, problem):
         _, source = problem
@@ -414,6 +426,43 @@ class TestCliPipeline:
         assert main([command, *argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, unread", [
+        ("extract", {"max_arty": 1}, "max_arty"),
+        ("fit", {"metropolis": True}, "metropolis"),
+        ("fit", {"sweeps": 50, "burn_in": 5, "seed": 3, "iters": 2}, None),
+        ("sample", {"seed": 1}, "seed"),
+        ("rake", {"iters": 5, "population_out": "p.csv"}, "population_out"),
+        ("benchmark", {"sizes": [10], "seeds": [1], "methods": "raking", "problem": "x"},
+         "problem"),
+    ], ids=["extract-misspelt", "fit-flag-only", "fit-sweeps", "sample-seed",
+            "rake-removed", "benchmark-misspelt"])
+    def test_config_keys_honoured_or_rejected(self, tmp_path, problem, capsys,
+                                              command, config, unread):
+        _, source = problem
+        c, m = tmp_path / "c.json", tmp_path / "m.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {
+            "extract": [str(source), "--out", str(out)],
+            "fit": [str(c), "--out", str(out), "--metropolis"],
+            "sample": [str(m), "--out", str(out), "-n", "10", "--seed", "1"],
+            "rake": [str(c), "--out", str(out)],
+            "benchmark": ["--problems", str(c), "--out-dir", str(out)],
+        }[command]
+        capsys.readouterr()
+        code = main([command, *argv, "--config", str(cfg)])
+        if unread is None:
+            # every key reaches the command: the resolved config records it
+            resolved = json.loads(out.read_text())["provenance"]["config"]
+            assert {k: resolved[k] for k in config} == config
+        else:
+            err = capsys.readouterr().err
+            assert code == 2 and not out.exists()
+            assert f"popmaxent {command} " in err and repr(unread) in err
 
     def test_benchmark_takes_json_lists(self, tmp_path, problem, capsys):
         _, source = problem

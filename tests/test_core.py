@@ -13,6 +13,8 @@ Claims:
       labels) ingestion equals Population.from_assignments, and each error
       names the row a row-by-row parse meets first
     - a population's coordinates are computed once and read-only
+    - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
+      names the limit, from the generators and from ingestion alike
 """
 
 import itertools
@@ -22,6 +24,7 @@ import pytest
 
 from popmaxent import (
     AttributeSchema,
+    CapacityError,
     MarginalTable,
     Pattern,
     Population,
@@ -34,6 +37,7 @@ from popmaxent import (
     read_population_text,
     support_size,
 )
+from popmaxent.synthetic import mixture_population
 
 
 def schema_of(*sizes):
@@ -63,6 +67,19 @@ class TestSchema:
 
 
 class TestCellCodes:
+    def test_spaces_over_int64_codes_raise_capacity_error(self):
+        with pytest.raises(CapacityError, match=r"2\^63 - 1 cells"):
+            mixture_population(40, 2000, seed=1, min_categories=4, max_categories=6)
+        def text(sizes):  # row r holds category min(r, d - 1) of each attribute
+            rows = [[f"A{i}" for i in range(len(sizes))]]
+            rows += [[str(min(r, d - 1)) for d in sizes] for r in range(max(sizes))]
+            return "\n".join(",".join(row) for row in rows)
+
+        with pytest.raises(CapacityError, match=r"2\^63 - 1 cells"):
+            read_population_text(text([4] * 31 + [2]))  # 2^63 cells
+        pop = read_population_text(text([4] * 31))  # 2^62 cells
+        assert pop.cells.tolist() == [(4 ** 31 - 1) // 3 * r for r in range(4)]
+
     def test_first_cell_is_zero(self):
         assert encode_cell(schema_of(2, 2), (0, 0)) == 0
 

@@ -15,6 +15,8 @@ Claims:
     - raking from uniform over every cell reaches the maximum-entropy fit
       on a consistent problem, which is why the benchmark's baseline rakes
       a record pool instead
+    - cell-space raking over the enumeration cap raises a CapacityError
+      that points to the cap, not to a method raking does not have
     - raking a base population over its occupied cells agrees with raking
       the same start over the enumerated space, failures included
     - the unary pool follows the unary targets, and only constraints the
@@ -31,6 +33,7 @@ import pytest
 from popmaxent import (
     ArityBudget,
     AttributeSchema,
+    CapacityError,
     ConstraintSet,
     ExtractionBudget,
     Pattern,
@@ -105,6 +108,12 @@ class TestRakeBasics:
         s = schema_of(2, 2)
         with pytest.raises(ValidationError):
             rake(cs_of(s, [({0: 0}, 0.5)]), iterations=0)
+
+    def test_over_the_cap_points_to_the_cap(self):
+        cs = cs_of(schema_of(2, 2, 2), [({0: 0}, 0.5)])
+        with pytest.raises(CapacityError, match=r"8 cells, over the enumeration cap 4") as err:
+            rake(cs, iterations=1, enum_cap=4)
+        assert "raise the cap" in str(err.value) and "Metropolis" not in str(err.value)
 
     def test_base_schema_must_match(self):
         s = schema_of(2, 2)

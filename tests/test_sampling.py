@@ -1,14 +1,18 @@
 """Tests for alias-table sampling and the fitted model's table.
 
 Claims:
-    - the alias build gives the same probability and alias arrays, bit for
-      bit (sign bits of -0.0 weights included), and the same draws as the
-      frozen one-entry-at-a-time Vose build: on all-positive vectors,
+    - a table covers only the positive weights: its probability and alias
+      arrays equal, bit for bit, those of the frozen one-entry-at-a-time
+      Vose build over the positive weights alone, and its draws are that
+      build's draws mapped through the support, on all-positive vectors,
       sparse vectors with 1 to n nonzero entries, a single nonzero cell,
-      integer weights whose residuals hit exactly 1.0 and 0.0, zero runs
-      at both ends of the small stack, a last large entry that is
-      exhausted with small entries left, n = 1, and the raked-pool
-      weights of a 16-binary-attribute problem
+      integer weights whose residuals hit exactly 1.0 and 0.0, a last
+      large entry that is exhausted with small entries left, n = 1, and
+      the raked-pool weights of a 16-binary-attribute problem
+    - no zero-weight index (0.0 or -0.0) is ever drawn, nor a model cell
+      whose probability underflows to exactly 0
+    - a raked pool's table holds at most the pool's cells, however large
+      the space
     - weights whose total overflows, or whose total is too small to scale,
       raise a ValidationError naming the total instead of drawing
       uniformly
@@ -32,6 +36,7 @@ from popmaxent import (
     extract_constraints,
     rake,
     sample_population,
+    sample_weighted,
 )
 from popmaxent import artifacts
 from popmaxent.evaluation import BenchmarkGrid, BenchmarkProblem, run_benchmark
@@ -43,13 +48,15 @@ from oracles import FrozenAliasTable
 
 
 def assert_same_table(w):
-    new, old = AliasTable(w), FrozenAliasTable(w)
+    support = np.flatnonzero(w)
+    new, old = AliasTable(w), FrozenAliasTable(w[support])
+    assert np.array_equal(new.support, support)
     assert np.array_equal(new._prob, old._prob)
     assert np.array_equal(new._alias, old._alias)
-    assert np.array_equal(np.signbit(new._prob), np.signbit(old._prob))
     a = new.draw(np.random.default_rng(7), 2000)
     b = old.draw(np.random.default_rng(7), 2000)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a, support[b])
+    assert (w[a] > 0.0).all()
 
 
 def sparse(rng, n, k, values):
@@ -85,7 +92,6 @@ class TestBitIdenticalBuild:
             assert_same_table(sparse(rng, n, max(1, n // 8), rng.integers(1, 6, max(1, n // 8))))
         assert_same_table(np.array([3.0, 0.0, 0.0, 0.0]))
         assert_same_table(np.array([0.0, 2.0, 0.0, 2.0]))
-        # a zero run leaves the large entry at exactly 1.0, still large
         assert_same_table(np.array([0.5, 0.5, 0.0, 0.0, 2.0, 3.0]))
 
     def test_zero_runs_at_both_ends_of_the_small_stack(self):
@@ -93,10 +99,11 @@ class TestBitIdenticalBuild:
         assert_same_table(np.array([0, 0, 7.0, 0, 0, 0, 0, 0.9, 0, 0]))
         assert_same_table(np.array([0, 0.4, 0, 0, 2.5, 0, 0]))
 
-    def test_negative_zero_weights_keep_their_sign(self):
+    def test_zero_weights_are_never_drawn(self):
         w = np.array([-0.0, 2.0, -0.0, 0.0, 1.0, -0.0])
         assert_same_table(w)
-        assert np.signbit(AliasTable(w)._prob[[0, 2, 5]]).all()
+        drawn = AliasTable(w).draw(np.random.default_rng(3), 20000)
+        assert set(np.unique(drawn).tolist()) == {1, 4}
 
     def test_exhausted_last_large_entry(self):
         # rounding takes the last large entry below 1 with small entries left
@@ -156,6 +163,37 @@ def count_builds(monkeypatch):
 
     monkeypatch.setattr(AliasTable, "__init__", counted)
     return builds
+
+
+class TestSupport:
+    def test_model_never_draws_exact_zero_cells(self, model):
+        lam = model.lam.copy()
+        lam[0] = -800.0  # exp(-800) underflows: the cells it matches get probability 0
+        zeroed = MaxEntModel(model.constraints, lam)
+        p = zeroed.probabilities()
+        assert 0 < np.count_nonzero(p == 0.0) < p.size
+        assert np.array_equal(zeroed.alias_table.support, np.flatnonzero(p))
+        for seed in range(3):
+            assert (p[sample_population(zeroed, 2000, seed).cells] > 0.0).all()
+
+    def test_raked_pool_table_holds_at_most_the_pool(self, monkeypatch):
+        pop = mixture_population(16, 2000, seed=404, max_categories=2)
+        cs = extract_constraints(pop, ExtractionBudget(binary=ArityBudget(count=20)))
+        (pool_seed,) = np.random.SeedSequence(6).spawn(1)
+        pool = unary_pool(cs, 100, pool_seed)
+        weights = rake(pool_constraints(cs, pool), 20, base=pool)
+        sizes = []
+        init = AliasTable.__init__
+
+        def counted(self, w):
+            init(self, w)
+            sizes.append(self.support.size)
+
+        monkeypatch.setattr(AliasTable, "__init__", counted)
+        synth = sample_weighted(weights, 100, 1)
+        assert sizes == [np.count_nonzero(weights.weights)]
+        assert sizes[0] <= pool.cells.size < 2 ** 16
+        assert np.isin(synth.cells, pool.cells).all()
 
 
 class TestModelTable:
