@@ -44,10 +44,13 @@ the space, the tree is the one clique of every attribute: calibration is
 then one pass of the dense kernels, the same operations in the same order
 as enumerating the space.
 
-The layout is the one index of the scope tables for fitting, raking,
-scoring and the Metropolis chain: a group's ``strides`` and ``keys`` give
-the flat table entry of a pattern, of a cell's coordinates or of a
-chain's state, and nothing outside this module computes them.
+The layout is the one index of the scope tables for fitting, raking
+and scoring: a group's ``strides`` and ``keys`` give the flat table entry
+of a pattern or of a cell's coordinates.  The Metropolis chain reads the
+clique tree instead: each clique within the enumeration cap is one table,
+its log-potential (``ScopeLayout._log_potential``, the array calibration
+starts from), and a clique over the cap falls back to its groups' scope
+tables.
 """
 
 from __future__ import annotations
@@ -284,6 +287,11 @@ class ScopeLayout:
         """Per-constraint mass of a dense nonnegative cell vector."""
         return self._per_pattern(self._tree.masses(dense.reshape(self.schema.shape)))
 
+    def _log_potential(self, c: int, tables: list[np.ndarray]) -> np.ndarray:
+        """Clique c's log-potential: its groups' :meth:`scope_tables` summed over its axes."""
+        cliques = self.cliques
+        return cliques.trees[c].energies([tables[g] for g in cliques.members[c]])
+
     def calibrate(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """log Z and every pattern's mass under exp(energies(lam)) / Z, on :attr:`cliques`.
 
@@ -291,8 +299,7 @@ class ScopeLayout:
         """
         cliques = self.cliques
         tables = self.scope_tables(lam)
-        logs = [sum_out.energies([tables[g] for g in members])
-                for sum_out, members in zip(cliques.trees, cliques.members)]
+        logs = [self._log_potential(c, tables) for c in range(len(cliques.axes))]
         beliefs: list[np.ndarray] = [None] * len(logs)
         sent: list[np.ndarray] = [None] * len(logs)
         log_scales = []  # summed exactly into log Z at the end

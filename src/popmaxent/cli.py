@@ -112,6 +112,16 @@ def _opt_ints(args, config: _Config, name: str) -> tuple[int, ...]:
             f"--{name} needs comma-separated integers, got {value!r}") from None
 
 
+def _opt_names(args, config: _Config, name: str, default=None) -> tuple[str, ...]:
+    """Comma-separated names from a flag or config string, or a config list of strings."""
+    value = _opt(args, config, name, default)
+    items = value.split(",") if isinstance(value, str) else value
+    if not (isinstance(items, list) and items and all(isinstance(v, str) for v in items)):
+        raise ValidationError(
+            f"--{name} needs a comma-separated list or a JSON list of strings, got {value!r}")
+    return tuple(items)
+
+
 def _parse_budget(args, config: _Config, label: str) -> ArityBudget | None:
     count = _opt_number(args, config, f"n{label}", int)
     rate = _opt_number(args, config, f"rho{label}", float)
@@ -303,24 +313,17 @@ def cmd_eval(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = _load_config(args)
-    problem_specs = _opt(args, config, "problems", None)
-    if isinstance(problem_specs, str):
-        problem_specs = [{"name": Path(path).stem, "constraints": path}
-                         for path in problem_specs.split(",")]
-    if not problem_specs:
-        raise ValidationError("no benchmark problems given (flag --problems or config)")
-
+    paths = _opt_names(args, config, "problems")
     sizes = _opt_ints(args, config, "sizes")
     seeds = _opt_ints(args, config, "seeds")
-    methods = tuple(str(_opt(args, config, "methods", "maxent,raking")).split(","))
+    methods = _opt_names(args, config, "methods", "maxent,raking")
 
     inputs = {}
     problems = []
-    for spec in problem_specs:
-        path = spec["constraints"]
+    for path in paths:
         cs = artifacts.load_constraints(path)
-        inputs[str(path)] = artifacts.digest_file(path)
-        problems.append(BenchmarkProblem(spec.get("name", Path(path).stem), cs))
+        inputs[path] = artifacts.digest_file(path)
+        problems.append(BenchmarkProblem(Path(path).stem, cs))
 
     grid = BenchmarkGrid(
         problems=tuple(problems),

@@ -6,8 +6,11 @@ pattern.  The partition function, the moments and the convex dual
 objective are computed exactly on the constraint set's clique tree
 (``ScopeLayout.calibrate``) while its largest clique is within the
 enumeration cap; beyond that, Metropolis single-site MCMC estimates the
-moments instead.  Cell probabilities, and with them sampling, enumerate
-the whole space and need the space itself within the cap.
+moments instead.  The chain reads its energy changes off the same clique
+tree: one table per clique within the cap (the clique's log-potential),
+and the scope tables of a clique over it.  Cell probabilities, and with
+them sampling, enumerate the whole space and need the space itself
+within the cap.
 
 Hard and soft fits run one L-BFGS driver on the convex dual
 log Z(lambda) - lambda . alpha, whose gradient is (model moments -
@@ -177,6 +180,11 @@ def dual_objective(model: MaxEntModel) -> tuple[float, np.ndarray]:
     return model.dual_objective()
 
 
+def _clique_fields(layout) -> dict:
+    """FitReport's description of the clique tree a fit ran on."""
+    return dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
+
+
 def _dual_value_grad(lam, layout, targets):
     log_z, masses = layout.calibrate(lam)
     return log_z - float(lam @ targets), masses - targets
@@ -257,7 +265,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     """
     layout = constraints.layout
     check_clique_cap(layout, enum_cap)
-    clique_fields = dict(cliques=len(layout.cliques.sizes), largest_clique=layout.cliques.largest)
+    clique_fields = _clique_fields(layout)
     m = constraints.m
     zero = MaxEntModel(constraints, np.zeros(m), enum_cap)  # rejects targets of 1
     targets = constraints.targets()
@@ -319,7 +327,38 @@ def sample_population(model: MaxEntModel, n: int, seed: int) -> Population:
 
 # ---------------------------------------------------------------------------
 # Metropolis estimation (works beyond the enumeration cap)
+#
+# A proposal changes one attribute, so its energy change is read off the
+# clique factors holding that attribute (:func:`_chain_factors`), one
+# table-pair read each, however many scope groups a clique holds.
 # ---------------------------------------------------------------------------
+
+
+def _chain_factors(model: MaxEntModel) -> list[tuple[_ScopeGroup, array]]:
+    """The chain's energy factors: (scope, flat table of the energy over it).
+
+    A clique of :attr:`ScopeLayout.cliques` within the model's enumeration
+    cap is one factor, its log-potential (its groups' tables summed over
+    its axes, as calibration starts from); a clique over the cap
+    contributes its groups' tables unchanged.  The tables are held as
+    ``array("d")``, 8 bytes an entry, so the cap bounds their memory as it
+    bounds calibration's.
+    """
+    schema = model.schema
+    layout = model.constraints.layout
+    cliques = layout.cliques
+    tables = layout.scope_tables(model.lam)
+    factors = []
+    for c, (axes, size, members) in enumerate(zip(cliques.axes, cliques.sizes,
+                                                  cliques.members)):
+        if not members:  # a clique of attributes in no scope carries no energy
+            continue
+        if size <= model.enum_cap:
+            parts = [(_ScopeGroup(schema, axes), layout._log_potential(c, tables))]
+        else:
+            parts = [(layout.groups[g], tables[g]) for g in members]
+        factors += [(g, array("d", table.tobytes())) for g, table in parts]
+    return factors
 
 
 def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Population:
@@ -327,13 +366,12 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
     schema = model.schema
     shape = schema.shape
     k = schema.k
-    layout = model.constraints.layout
-    # (group's table, stride of the attribute in it, group) per attribute
-    touching: list[list[tuple[list, int, int]]] = [[] for _ in range(k)]
-    for s_idx, (g, table) in enumerate(zip(layout.groups, layout.scope_tables(model.lam))):
-        table = table.tolist()
+    factors = _chain_factors(model)
+    # (factor's table, stride of the attribute in it, factor) per attribute
+    touching: list[list[tuple[array, int, int]]] = [[] for _ in range(k)]
+    for f_idx, (g, table) in enumerate(factors):
         for attr, stride in zip(g.scope, g.strides):
-            touching[attr].append((table, stride, s_idx))
+            touching[attr].append((table, stride, f_idx))
     # the full space as one table: its flat entry is the cell code
     space = _ScopeGroup(schema, tuple(range(k)))
     rng = np.random.default_rng(seed)
@@ -341,7 +379,7 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
     state = [int(rng.integers(0, d)) for d in shape]
     cell_strides = space.strides
     cell = space.keys(state)
-    flat = [g.keys(state) for g in layout.groups]  # current flat combo per scope
+    flat = [g.keys(state) for g, _ in factors]  # current flat entry per factor
 
     attrs = rng.integers(0, k, size=sweeps).tolist()
     cat_u = rng.random(sweeps).tolist()
@@ -355,16 +393,16 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
         if new != old:
             d_e = 0.0
             deltas = []
-            for table, stride, s_idx in touching[a]:
-                f_old = flat[s_idx]
+            for table, stride, f_idx in touching[a]:
+                f_old = flat[f_idx]
                 f_new = f_old + (new - old) * stride
                 d_e += table[f_new] - table[f_old]
-                deltas.append((s_idx, f_new))
+                deltas.append((f_idx, f_new))
             if d_e >= 0.0 or u_acc < math.exp(d_e):
                 state[a] = new
                 cell += (new - old) * cell_strides[a]
-                for s_idx, f_new in deltas:
-                    flat[s_idx] = f_new
+                for f_idx, f_new in deltas:
+                    flat[f_idx] = f_new
         if t >= burn_in:
             visits.append(cell)
     return Population.from_codes(schema, visits)
@@ -403,9 +441,10 @@ def fit_metropolis(
     residual with step size ``step / sqrt(t)``.  The reported residual is
     itself an MCMC estimate, so convergence is approximate by nature.
     """
+    clique_fields = _clique_fields(constraints.layout)
     if constraints.m == 0:
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)
-        return model, FitReport(0, 0.0, 0.0, True, 0.0)
+        return model, FitReport(0, 0.0, 0.0, True, 0.0, **clique_fields)
     t0 = time.perf_counter()
     targets = constraints.targets()
     lam = np.zeros(constraints.m)
@@ -426,4 +465,5 @@ def fit_metropolis(
         seconds=time.perf_counter() - t0,
         message="stochastic fit; residual is an MCMC estimate",
         evaluations=iterations,
+        **clique_fields,
     )

@@ -8,8 +8,9 @@ package's current paths can be compared with them bit for bit:
 :func:`frozen_rake_array` (the numpy-scalar raking replay) and
 :func:`frozen_nmi`, :func:`frozen_ipf_fit` and :func:`frozen_triple_score`
 (pair and triple scoring one candidate at a time), and
-:class:`FrozenAliasTable` (the Vose build one entry at a time).  They raise the
-package's own error types, so that errors compare too.
+:class:`FrozenAliasTable` (the Vose build one entry at a time), and
+:func:`frozen_run_chain` (the Metropolis chain on per-scope tables).  They
+raise the package's own error types, so that errors compare too.
 """
 
 import itertools
@@ -275,6 +276,52 @@ class FrozenAliasTable:
         idx = rng.integers(0, self.n, size=size)
         u = rng.random(size)
         return np.where(u < self._prob[idx], idx, self._alias[idx])
+
+
+def frozen_run_chain(model, sweeps, burn_in, seed):
+    """Post-burn-in cell codes of the single-site Metropolis chain, as it ran
+    on per-scope tables: a proposal's energy change sums the change of every
+    scope group's multiplier table that holds the proposed attribute."""
+    shape = model.schema.shape
+    k = len(shape)
+    layout = model.constraints.layout
+    # (group's table, stride of the attribute in it, group) per attribute
+    touching = [[] for _ in range(k)]
+    for s_idx, (g, table) in enumerate(zip(layout.groups, layout.scope_tables(model.lam))):
+        table = table.tolist()
+        for attr, stride in zip(g.scope, g.strides):
+            touching[attr].append((table, stride, s_idx))
+    cell_strides = [math.prod(shape[a + 1:]) for a in range(k)]
+    rng = np.random.default_rng(seed)
+
+    state = [int(rng.integers(0, d)) for d in shape]
+    cell = sum(v * stride for v, stride in zip(state, cell_strides))
+    flat = [g.keys(state) for g in layout.groups]  # current flat combo per scope
+
+    attrs = rng.integers(0, k, size=sweeps).tolist()
+    cat_u = rng.random(sweeps).tolist()
+    acc_u = rng.random(sweeps).tolist()
+
+    visits = []
+    for t, (a, u_cat, u_acc) in enumerate(zip(attrs, cat_u, acc_u)):
+        old = state[a]
+        new = int(u_cat * shape[a])
+        if new != old:
+            d_e = 0.0
+            deltas = []
+            for table, stride, s_idx in touching[a]:
+                f_old = flat[s_idx]
+                f_new = f_old + (new - old) * stride
+                d_e += table[f_new] - table[f_old]
+                deltas.append((s_idx, f_new))
+            if d_e >= 0.0 or u_acc < math.exp(d_e):
+                state[a] = new
+                cell += (new - old) * cell_strides[a]
+                for s_idx, f_new in deltas:
+                    flat[s_idx] = f_new
+        if t >= burn_in:
+            visits.append(cell)
+    return visits
 
 
 def frozen_dense_marginal(pop, scope):

@@ -249,7 +249,6 @@ def test_criterion_7_sampling_concentration():
            f"N=1e5, ratio {ratio:.3f} (<= 0.333), {elapsed:.1f}s (< 120s)")
 
 
-@pytest.mark.slow
 def test_criterion_8_metropolis_consistency():
     """Metropolis moment estimates at 1e6 sweeps within 0.01 of exact
     moments on a fitted K=4 model, for 3 seeds."""

@@ -10,11 +10,13 @@ Claims:
       respects config-file/flag precedence, requires explicit seeds, and
       maps validation, non-convergence, and capacity errors to exit codes
       2, 3, and 4; a config value of the wrong type exits 2 naming its
-      option, and ``sizes``/``seeds`` may be JSON integer lists; a config
+      option, ``sizes``/``seeds`` may be JSON integer lists and
+      ``problems``/``methods`` JSON lists of strings (any other shape exits 2
+      naming the key); a config
       key is either read by its command or rejected with exit 2, naming the
       key and the command, before anything is written
-    - fit reports record evaluations and the clique tree, and reports
-      written without those keys still load
+    - fit reports record evaluations and the clique tree, ``fit
+      --metropolis`` too, and reports written without those keys still load
     - ``rake`` prints the passes it ran and its last deviation, so an
       early stop on ``--rake-tol`` shows
     - flags that did nothing (``--enum-cap`` on extract, sample and eval,
@@ -261,6 +263,9 @@ class TestCliPipeline:
         model, report = load_model(m)
         assert model.lam.shape == (load_constraints(c).m,)
         assert not report.converged
+        cliques = model.constraints.layout.cliques
+        assert report.cliques == len(cliques.sizes) > 0
+        assert report.largest_clique == cliques.largest > 0
 
     def test_metropolis_fit_requires_seed(self, tmp_path, problem):
         _, source = problem
@@ -405,6 +410,9 @@ class TestCliPipeline:
         ("benchmark", {"jobs": "two"}, "--jobs"),
         ("benchmark", {"sizes": [100, "x"]}, "--sizes"),
         ("benchmark", {"seeds": [1, True]}, "--seeds"),
+        ("benchmark", {"methods": [1]}, "--methods"),
+        ("benchmark", {"methods": []}, "--methods"),
+        ("benchmark", {"methods": {"raking": True}}, "--methods"),
     ])
     def test_bad_config_values_exit_2(self, tmp_path, problem, capsys, command, config, named):
         _, source = problem
@@ -478,6 +486,35 @@ class TestCliPipeline:
                 if not ln.startswith("#")][1:]
         assert sorted((int(r[4]), int(r[5])) for r in rows) == [(100, 1), (100, 2),
                                                                 (200, 1), (200, 2)]
+
+    def test_benchmark_takes_json_lists_of_names(self, tmp_path, problem):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problems": [str(c)], "methods": ["raking"],
+                                   "sizes": [100], "seeds": [1, 2]}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--rake-iterations", "5", "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        rows = [ln.split(",") for ln in (out / "results.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert sorted((r[0], r[3], int(r[5])) for r in rows) == [("c", "raking", 1),
+                                                                 ("c", "raking", 2)]
+
+    @pytest.mark.parametrize("config", [
+        {"problems": [{"constraints": "c.json"}]},
+        {"problems": 3},
+        {},
+    ], ids=["list-of-objects", "number", "missing"])
+    def test_benchmark_bad_problems_exit_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [10], "seeds": [1], **config}))
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert "--problems" in err and "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,11 @@ Claims:
       to zero gives zero mass, not NaN
     - the full space is the one clique exactly when the min-fill cliques
       hold at least as many cells
+    - the Metropolis chain's energy factors (a clique's log-potential
+      within the enumeration cap, its groups' tables over it) give every
+      proposal the energy change of the per-scope tables to 1e-12, on a
+      chain, a 5-cycle, disconnected components and a one-clique
+      full-ternary problem, at the default cap and at a cap of 1
 """
 
 import itertools
@@ -27,8 +32,10 @@ import math
 import numpy as np
 import pytest
 
-from popmaxent import AttributeSchema, Pattern, feature_value
-from popmaxent._dense import ScopeLayout
+from popmaxent import AttributeSchema, ConstraintSet, MaxEntModel, Pattern, feature_value
+from popmaxent._dense import DEFAULT_ENUM_CAP, ScopeLayout
+from popmaxent.extraction import AtomicConstraint
+from popmaxent.model import _chain_factors
 
 TOL = 1e-12
 
@@ -213,3 +220,43 @@ def test_one_clique_path_is_the_dense_path_bit_for_bit():
     log_z, masses = layout.calibrate(lam)
     assert log_z == e.max() + math.log(w.sum())
     assert np.array_equal(masses, layout.masses(w / w.sum()))
+
+
+@pytest.mark.parametrize("enum_cap", [DEFAULT_ENUM_CAP, 1])
+@pytest.mark.parametrize("sizes, scopes", [
+    # a chain
+    ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    # a 5-cycle: min-fill adds two chords
+    ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    # two components and a lone unary scope
+    ((3, 2, 4, 3, 3), [(0, 1), (2, 3), (0,), (4,)]),
+    # every triple of four attributes, with their pairs and units: one clique
+    ((3, 2, 3, 2), [s for r in (1, 2, 3) for s in itertools.combinations(range(4), r)]),
+], ids=["chain", "5-cycle", "disconnected", "full-ternary"])
+def test_chain_factors_give_the_per_scope_energy_change(sizes, scopes, enum_cap):
+    schema = schema_of(*sizes)
+    rng = np.random.default_rng(5)
+    patterns = patterns_over(schema, scopes, rng)
+    lam = 3.0 * rng.normal(size=len(patterns))
+    cs = ConstraintSet(schema, tuple(AtomicConstraint(p, 0.5) for p in patterns))
+    model = MaxEntModel(cs, lam, enum_cap)
+    layout = cs.layout
+    factors = _chain_factors(model)
+    cliques = layout.cliques
+    if enum_cap == 1:  # every clique is over the cap: the groups' own tables
+        assert [g.scope for g, _ in factors] == [
+            layout.groups[g].scope for members in cliques.members for g in members]
+    else:
+        assert [g.scope for g, _ in factors] == [
+            axes for axes, members in zip(cliques.axes, cliques.members) if members]
+    tables = layout.scope_tables(lam)
+    for _ in range(300):
+        state = [int(rng.integers(d)) for d in schema.shape]
+        a = int(rng.integers(schema.k))
+        moved = list(state)
+        moved[a] = int(rng.integers(schema.shape[a]))
+        by_factor = sum(t[g.keys(moved)] - t[g.keys(state)]
+                        for g, t in factors if a in g.scope)
+        by_scope = sum(t[g.keys(moved)] - t[g.keys(state)]
+                       for g, t in zip(layout.groups, tables) if a in g.scope)
+        assert by_factor == pytest.approx(by_scope, rel=0, abs=TOL)

@@ -20,8 +20,13 @@ Claims:
       pattern
     - sampling is seeded-deterministic with binomial-level concentration
     - Metropolis estimates agree with exact moments, also over 2^30 cells
-      where the chain keeps only the cells it visits; boundary targets and
-      over-cap spaces are rejected with the right errors
+      where the chain keeps only the cells it visits, and on a clique over
+      the enumeration cap, where the chain reads the clique's scope tables;
+      boundary targets and over-cap spaces are rejected with the right errors
+    - the chain on clique factors visits the cells the frozen per-scope
+      chain visits, on fixed seeds, for one clique, several cliques and
+      unary constraints alone
+    - fit_metropolis reports the clique tree its chain ran on
     - the dual runs on the clique tree: 30 and 40 binary attributes with
       50 pairs and 50 triples fit to 1e-6 (their cells stay out of reach:
       probabilities and sampling raise CapacityError), the K=30 model's
@@ -30,6 +35,7 @@ Claims:
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -61,10 +67,10 @@ from popmaxent import (
 )
 from popmaxent._dense import DEFAULT_ENUM_CAP
 from popmaxent.extraction import AtomicConstraint
-from popmaxent.model import _run_chain
+from popmaxent.model import _chain_factors, _run_chain
 from popmaxent.synthetic import mixture_population
 
-from oracles import central_difference_gradient, product_distribution
+from oracles import central_difference_gradient, frozen_run_chain, product_distribution
 
 
 def schema_of(*sizes):
@@ -546,6 +552,41 @@ class TestMetropolis:
             model.constraints.layout.sparse_masses(visits.cells, visits.counts, visits.total),
             est)
 
+    def test_chain_runs_on_a_clique_over_the_cap(self):
+        # full budgets on six binary attributes: one 64-cell clique, over a cap of 16
+        pop = mixture_population(6, 3000, seed=11, max_categories=2)
+        cs = extract_constraints(pop, ExtractionBudget.full())
+        model, _ = fit_hard(cs)
+        capped = MaxEntModel(cs, model.lam, enum_cap=16)
+        assert cs.layout.cliques.sizes == [64]
+        with pytest.raises(CapacityError):
+            capped.moments()
+        assert [g.scope for g, _ in _chain_factors(capped)] == [g.scope for g in cs.layout.groups]
+        est = metropolis_moments(capped, sweeps=200_000, burn_in=2_000, seed=4)
+        assert np.abs(est - model_moments(model)).max() < 0.02
+
+    @pytest.mark.parametrize("sizes, scopes, factors", [
+        # every triple of four attributes: one clique
+        ((3, 2, 3, 2), list(itertools.combinations(range(4), 3)), 1),
+        # a 5-cycle: three cliques after min-fill's two chords
+        ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 3),
+        # unary constraints alone: one clique per attribute
+        ((2, 3, 4, 2), [(0,), (1,), (2,), (3,)], 4),
+    ], ids=["one-clique", "multi-clique", "unary-only"])
+    def test_chain_visits_the_per_scope_chains_cells(self, sizes, scopes, factors):
+        s = schema_of(*sizes)
+        patterns = [Pattern.of(dict(zip(scope, combo))) for scope in scopes
+                    for combo in itertools.product(*(range(s.shape[a]) for a in scope))]
+        cs = ConstraintSet(s, tuple(AtomicConstraint(p, 0.5) for p in patterns))
+        model = MaxEntModel(cs, np.random.default_rng(7).normal(size=len(patterns)))
+        assert len(_chain_factors(model)) == factors
+        for seed in (1, 2, 3):
+            visits = _run_chain(model, 20_000, 500, seed)
+            cells, counts = np.unique(frozen_run_chain(model, 20_000, 500, seed),
+                                      return_counts=True)
+            assert np.array_equal(visits.cells, cells)
+            assert np.array_equal(visits.counts, counts)
+
     def test_fit_metropolis_reduces_residual(self):
         s = schema_of(2, 2)
         cs = cs_of(s, [({0: 0}, 0.3), ({1: 0}, 0.8)])
@@ -555,3 +596,5 @@ class TestMetropolis:
         exact_residual = np.abs(model_moments(model) - cs.targets()).max()
         assert exact_residual < 0.05  # initial residual at lambda = 0 is 0.3
         assert report.iterations == 120
+        # two unary cliques hold as many cells as the space: the one clique of both
+        assert (report.cliques, report.largest_clique) == (1, 4)
