@@ -19,6 +19,15 @@ on a dual flat to rounding before the tolerance, Newton steps on the
 gradient alone finish it.  A soft fit adds the quadratic multiplier
 penalty  sum_j lambda_j^2 / (2 beta w_j), the dual form of the
 entropy-versus-fidelity trade-off with per-constraint weights.
+
+L-BFGS runs on rescaled multipliers, lambda_j = mu_j / sqrt(h_j) with
+h_j = alpha_j (1 - alpha_j): the dual's Hessian is the feature covariance,
+whose diagonal at the solution is Var f_j = alpha_j (1 - alpha_j), so this
+is Jacobi (diagonal) preconditioning fixed from the targets (Nocedal &
+Wright 2006, sec. 7.2, on scaling L-BFGS; Malouf 2002 on L-BFGS for
+max-ent duals).  Rare and common patterns then have curvatures near 1
+alike, and L-BFGS's ten-pair Hessian model no longer has to learn their
+spread.  A soft fit's penalty adds 1 / (beta w_j) to that diagonal.
 """
 
 from __future__ import annotations
@@ -259,9 +268,17 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     """L-BFGS on the dual from a zero start; hard when ``soft`` is None.
 
     A soft fit adds  sum_j lambda_j^2 / (2 beta w_j)  over its positive-weight
-    constraints and holds the others at zero.  The dual runs on the clique
-    tree, so the cap bounds its largest clique; a hard fit's Newton polish
-    enumerates the space and runs only while the space is within the cap.
+    constraints and holds the others at zero.  L-BFGS minimises over
+    mu = lambda / scale, scale_j = 1 / sqrt(alpha_j (1 - alpha_j) [+ 1 / (beta
+    w_j) in a soft fit]), the Hessian's diagonal at the solution (module
+    docstring); targets strictly inside (0, 1) keep it finite.  It sees the
+    dual's value and scale times its gradient.  Its gradient tolerance is
+    ``tol``, times the smallest scale when that is below 1 (beta w_j < 4/3),
+    so a stop on the scaled gradient meets ``tol`` unscaled; the report
+    reads the unscaled multipliers and gradient.  The dual runs on the
+    clique tree, so the cap bounds its largest clique; a hard fit's Newton
+    polish enumerates the space and runs only while the space is within
+    the cap.
     """
     layout = constraints.layout
     check_clique_cap(layout, enum_cap)
@@ -269,6 +286,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     m = constraints.m
     zero = MaxEntModel(constraints, np.zeros(m), enum_cap)  # rejects targets of 1
     targets = constraints.targets()
+    curvature = targets * (1.0 - targets)  # Var f_j at the solution
     if soft is None:
         active = np.arange(m)
         fun = partial(_dual_value_grad, layout=layout, targets=targets)
@@ -276,6 +294,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
         weights = soft.weight_vector(m)
         active = np.flatnonzero(weights > 0.0)
         inv_bw = 1.0 / (soft.beta * weights[active])
+        curvature = curvature[active] + inv_bw
 
         def fun(lam_active):
             lam = np.zeros(m)
@@ -289,13 +308,20 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
         return zero, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0,
                                **clique_fields)
 
+    scale = 1.0 / np.sqrt(curvature)  # lambda = scale * mu
+    gtol = tol * min(1.0, float(scale.min()))
+
+    def scaled_fun(mu):
+        value, grad = fun(scale * mu)
+        return value, scale * grad
+
     t0 = time.perf_counter()
-    res = minimize(fun, np.zeros(active.size), jac=True, method="L-BFGS-B",
+    res = minimize(scaled_fun, np.zeros(active.size), jac=True, method="L-BFGS-B",
                    options=dict(maxiter=max_iter, maxfun=20 * max_iter, maxcor=10,
-                                gtol=tol, ftol=1e-18))
+                                gtol=gtol, ftol=1e-18))
     seconds = time.perf_counter() - t0
     lam = np.zeros(m)
-    lam[active] = res.x
+    lam[active] = scale * res.x
     residual = float(np.abs(_dual_value_grad(lam, layout, targets)[1]).max())
     message = str(res.message)
     # status 1: the iteration budget ran out, which the polish must not extend
@@ -304,7 +330,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
         lam, residual, polished = _polish(lam, layout, targets, tol)
         if polished:
             message += f"; {polished} Newton steps on the residual"
-    converged = (residual if soft is None else float(np.abs(res.jac).max())) <= tol
+    converged = (residual if soft is None else float(np.abs(res.jac / scale).max())) <= tol
     return MaxEntModel(constraints, lam, enum_cap), FitReport(
         iterations=int(res.nit),
         dual_value=float(res.fun),

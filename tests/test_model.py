@@ -8,9 +8,10 @@ Claims:
       the multiplier
     - the analytic dual gradient matches central finite differences
     - hard fit reaches 1e-6 residuals on extracted problems, and 1e-13,
-      where the dual no longer resolves the steps; the empty fit is the
-      zero-iteration uniform model, duplicated constraints leave the
-      fitted distribution unchanged
+      where the dual no longer resolves the steps; at 1e-10 the Newton
+      polish does the last part, checked against moments summed from the
+      cell probabilities; the empty fit is the zero-iteration uniform
+      model, duplicated constraints leave the fitted distribution unchanged
     - soft fit: residual decreases in beta, approaches the hard fit at
       large beta, tolerates inconsistent targets, drops zero-weight
       constraints, rejects targets of 1, reports its evaluations and
@@ -18,6 +19,12 @@ Claims:
       raises CapacityError when the cap is below the largest clique)
     - a target of 1 is rejected with a message naming the first such
       pattern
+    - the driver's rescaled multipliers stay out of sight: hard and soft
+      reports give the dual value, residual and soft convergence of the
+      returned multipliers, recomputed independently; a weak penalty's
+      soft fit that stops on its gradient meets tol; criterion 7's K=4
+      problem and criterion 2's seed-2002 problem fit within 150 and 400
+      iterations
     - sampling is seeded-deterministic with binomial-level concentration
     - Metropolis estimates agree with exact moments, also over 2^30 cells
       where the chain keeps only the cells it visits, and on a clique over
@@ -88,6 +95,17 @@ def cs_of(schema, items):
 
 def tv(p, q):
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def enumerated_moments(cs, p):
+    """Each pattern's mass, summed from dense cell probabilities by indexing."""
+    table = p.reshape(cs.schema.shape)
+    moments = []
+    for c in cs.constraints:
+        fixed = dict(c.pattern.fixed)
+        index = tuple(fixed.get(a, slice(None)) for a in range(cs.schema.k))
+        moments.append(float(np.sum(table[index])))
+    return np.array(moments)
 
 
 class TestFeatureValue:
@@ -235,6 +253,18 @@ class TestFitHard:
             model, report = fit_hard(cs, tol=1e-13)
             assert report.converged, f"k={k} residual {report.residual}"
             assert np.abs(model_moments(model) - cs.targets()).max() <= 1e-13
+
+    @pytest.mark.parametrize("k, seed", [(3, 1), (4, 2), (5, 3)])
+    def test_newton_polish_finishes_below_the_dual_resolution(self, k, seed):
+        # at tol 1e-10 L-BFGS stops on a dual flat to rounding; the Newton
+        # steps on the gradient alone carry the residual the rest of the way
+        cs = extract_constraints(mixture_population(k, 1500, seed=seed),
+                                 ExtractionBudget.full())
+        model, report = fit_hard(cs, tol=1e-10)
+        assert "Newton steps on the residual" in report.message
+        assert report.converged and report.residual <= 1e-10
+        residual = np.abs(enumerated_moments(cs, model.probabilities()) - cs.targets()).max()
+        assert residual <= 1e-10
 
     def test_empty_constraints_is_uniform_zero_iterations(self):
         s = schema_of(2, 3)
@@ -457,6 +487,64 @@ class TestFitSoft:
                               tol=1e-10)
         assert rep.converged
         assert tv(model.probabilities(), p_primal) < 1e-5
+
+
+class TestScaledDual:
+    """L-BFGS runs on rescaled multipliers; reports read the unscaled ones."""
+
+    @pytest.mark.parametrize("max_iter", [3, 5000])
+    def test_hard_report_reads_the_returned_multipliers(self, max_iter):
+        cs = extract_constraints(mixture_population(4, 1500, seed=2), ExtractionBudget.full())
+        model, report = fit_hard(cs, max_iter=max_iter)
+        assert report.dual_value == pytest.approx(dual_objective(model)[0], abs=1e-12)
+        moments = enumerated_moments(cs, model.probabilities())
+        assert report.residual == pytest.approx(np.abs(moments - cs.targets()).max(),
+                                                abs=1e-12)
+        assert report.converged == (report.residual <= 1e-6) == (max_iter > 3)
+
+    @pytest.mark.parametrize("max_iter", [3, 5000])
+    def test_soft_report_reads_the_returned_multipliers(self, max_iter):
+        cs = extract_constraints(mixture_population(3, 400, seed=7), ExtractionBudget.full())
+        weights = np.random.default_rng(5).uniform(0.2, 3.0, size=cs.m)
+        weights[::7] = 0.0
+        beta, tol = 1e3, 1e-7
+        model, report = fit_soft(cs, SoftFitConfig(beta=beta, weights=tuple(weights)),
+                                 tol=tol, max_iter=max_iter)
+        active = weights > 0.0
+        assert np.all(model.lam[~active] == 0.0)
+        penalty = float(np.sum(model.lam[active] ** 2 / (2.0 * beta * weights[active])))
+        assert report.dual_value == pytest.approx(dual_objective(model)[0] + penalty,
+                                                  abs=1e-12)
+        moments = enumerated_moments(cs, model.probabilities())
+        assert report.residual == pytest.approx(np.abs(moments - cs.targets()).max(),
+                                                abs=1e-12)
+        grad = (moments - cs.targets())[active] + model.lam[active] / (beta * weights[active])
+        assert report.converged == (np.abs(grad).max() <= tol) == (max_iter > 3)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
+    def test_weak_penalty_stop_meets_tol_unscaled(self, seed):
+        # beta w < 4/3 puts scales below 1, where a scaled gradient within
+        # tol can leave the unscaled one over it
+        cs = extract_constraints(mixture_population(4, 800, seed=seed), ExtractionBudget.full())
+        for beta in (0.1, 0.5):
+            model, report = fit_soft(cs, SoftFitConfig(beta=beta))
+            grad = model_moments(model) - cs.targets() + model.lam / beta
+            assert "PROJECTED GRADIENT" in report.message
+            assert report.converged and np.abs(grad).max() <= 1e-6
+
+    def test_criterion_7_problem_iterations(self):
+        # unscaled, this problem took 584 iterations; about 75 scaled
+        cs = extract_constraints(mixture_population(4, 1500, seed=7001),
+                                 ExtractionBudget.full())
+        _, report = fit_hard(cs)
+        assert report.converged and report.iterations <= 150
+
+    def test_criterion_2_hardest_problem_iterations(self):
+        # unscaled, seed 2002 took 1,560 iterations; about 180 scaled
+        k = int(np.random.default_rng(2002).integers(3, 7))
+        pop = mixture_population(k, 1200, seed=2002, min_categories=2, max_categories=4)
+        _, report = fit_hard(extract_constraints(pop, ExtractionBudget.full()))
+        assert report.converged and report.iterations <= 400
 
 
 class TestSampling:

@@ -14,7 +14,9 @@ Claims:
       sampling concentrates and is seed-deterministic
     - raking from uniform over every cell reaches the maximum-entropy fit
       on a consistent problem, which is why the benchmark's baseline rakes
-      a record pool instead
+      a record pool instead; with planted structural zeros it still heads
+      there, at IPF's 1/passes rate, and both put near-zero mass on the
+      forbidden category pairs
     - cell-space raking over the enumeration cap raises a CapacityError
       that points to the cap, not to a method raking does not have
     - raking a base population over its occupied cells agrees with raking
@@ -26,6 +28,8 @@ Claims:
       both carriers, through duplicate patterns, the target-1 restart and
       an early stop
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +209,40 @@ class TestFixedPoints:
         assert report.converged
         wv = rake(cs, iterations=2000, tol=1e-12)
         assert np.abs(wv.weights - model.probabilities()).max() <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_uniform_start_reaches_the_maxent_fit_with_planted_zeros(self, seed):
+        # Two category pairs never occur, and full budgets keep both pair
+        # tables, so the limit puts zero mass on every cell holding one.
+        # Neither side reaches it exactly.  The fit stops at residual tol:
+        # a planted cell's mass is its pair table's target sum (1) minus
+        # the fitted masses of the table's other entries, each within tol
+        # of its target.  IPF meets a zero only in the limit and slowly:
+        # scaling [[1, 1], [0, 1]] to unit margins (Sinkhorn's example)
+        # leaves 1/(2T + 1) on the vanishing entry after T passes, so
+        # raking is held to 1/(2T), and to halving its distance to the fit
+        # at least as fast as 1/sqrt(T) does when T doubles.
+        forbidden = (((0, 0), (1, 1)), ((2, 1), (3, 0)))
+        source = mixture_population(5, 2000, seed=seed)
+        coords = source.coords()
+        planted = np.zeros(source.cells.size, dtype=bool)
+        for combo in forbidden:
+            planted |= np.logical_and.reduce([coords[a] == v for a, v in combo])
+        pop = Population(source.schema, source.cells[~planted], source.counts[~planted])
+        cs = extract_constraints(pop, ExtractionBudget.full())
+        model, report = fit_hard(cs)
+        assert report.converged
+        p = model.probabilities().reshape(cs.schema.shape)
+        for (a, u), (b, v) in forbidden:
+            index = [slice(None)] * cs.schema.k
+            index[a], index[b] = u, v
+            table_cells = cs.schema.shape[a] * cs.schema.shape[b]
+            assert p[tuple(index)].sum() <= (table_cells - 1) * DEFAULT_TOL
+        passes = 200
+        near, far = (np.abs(rake(cs, iterations=t).weights - p.ravel()).max()
+                     for t in (passes, 2 * passes))
+        assert near <= 1.0 / (2 * passes)
+        assert far <= near / math.sqrt(2)
 
     def test_early_stop_matches_full_run_at_fixed_point(self):
         pop = mixture_population(3, 300, seed=11)
