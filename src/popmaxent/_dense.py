@@ -1,12 +1,12 @@
 """Internal dense-enumeration machinery and exact inference on a clique tree.
 
-Constraints are grouped by the attribute scope of their patterns.  Every
-dual evaluation needs log Z and the mass of every pattern under the
-model; sampling and the Newton polish need the per-cell feature sums
-(``energies``) and the masses of a dense cell vector (``masses``).
-Computing each scope's marginal straight from the full space costs one
-pass over every cell per scope group, which on a 16-attribute space with
-a hundred groups is a hundred passes per call.
+Constraints are grouped by the attribute scope of their patterns.  A dual
+evaluation, or a complex step of it (the Newton polish's Hessian-vector
+product), needs log Z and every pattern's mass under the model; cell
+probabilities need the per-cell feature sums (``energies``), and
+``masses`` gives the pattern masses of a dense cell vector.  Computing
+each scope's marginal from the full space costs one pass over every cell
+per scope group, so a hundred groups cost a hundred passes per call.
 
 Both dense kernels instead walk one *sum-out tree* over the groups, built
 once per layout.  A node holds the groups that share its array; its array
@@ -276,7 +276,9 @@ class ScopeLayout:
 
     def scope_tables(self, lam: np.ndarray) -> list[np.ndarray]:
         """Per-group flat multiplier tables: entry c sums lam_j over patterns at c."""
-        flat = np.bincount(self._keys, weights=lam, minlength=int(self._offsets[-1]))
+        flat = np.bincount(self._keys, weights=lam.real, minlength=int(self._offsets[-1]))
+        if np.iscomplexobj(lam):  # bincount takes real weights only
+            flat = flat + 1j * np.bincount(self._keys, weights=lam.imag, minlength=flat.size)
         return [flat[start:stop] for start, stop in self._bounds]
 
     def energies(self, lam: np.ndarray) -> np.ndarray:
@@ -295,33 +297,35 @@ class ScopeLayout:
     def calibrate(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """log Z and every pattern's mass under exp(energies(lam)) / Z, on :attr:`cliques`.
 
-        No array is larger than the largest clique.
+        No array is larger than the largest clique.  A complex ``lam`` (the
+        polish's complex step) gives complex masses and the real part of log Z.
         """
         cliques = self.cliques
         tables = self.scope_tables(lam)
-        logs = [self._log_potential(c, tables) for c in range(len(cliques.axes))]
+        logs = [np.asarray(self._log_potential(c, tables), dtype=lam.dtype)
+                for c in range(len(cliques.axes))]  # a scopeless clique's zeros too
         beliefs: list[np.ndarray] = [None] * len(logs)
         sent: list[np.ndarray] = [None] * len(logs)
         log_scales = []  # summed exactly into log Z at the end
         for c in range(len(logs) - 1, -1, -1):  # upward: children before parents
-            shift = logs[c].max()
+            shift = logs[c].real.max()
             beliefs[c] = np.exp(logs[c] - shift)
             log_scales.append(shift)
             if c == 0:
                 break
             sent[c] = beliefs[c].sum(axis=cliques.up_axes[c])
             scale = sent[c].sum()
-            log_scales.append(math.log(scale))
+            log_scales.append(math.log(scale.real))
             with np.errstate(divide="ignore"):  # an empty slice sends log 0
                 message = np.log(sent[c] / scale)
             logs[cliques.parent[c]] += message.reshape(cliques.up_shape[c])
         z = beliefs[0].sum()
-        log_scales.append(math.log(z))
+        log_scales.append(math.log(z.real))
         beliefs[0] /= z
         for c in range(1, len(logs)):  # downward (Hugin): parents before children
             marginal = beliefs[cliques.parent[c]].sum(axis=cliques.down_axes[c])
             ratio = np.divide(marginal, sent[c], out=np.zeros_like(sent[c]),
-                              where=sent[c] > 0)
+                              where=sent[c].real > 0)
             beliefs[c] *= ratio.reshape(cliques.down_shape[c])
         per_group: list[np.ndarray] = [None] * len(self.groups)
         for sum_out, members, belief in zip(cliques.trees, cliques.members, beliefs):

@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int, help="chain sweeps per iteration (default 20000)")
     p.add_argument("--burn-in", dest="burn_in", type=int,
                    help="chain sweeps discarded per iteration (default 1000)")
-    add_enum_cap(p, "bounds the largest clique of the fit's clique tree; the Newton "
-                    "polish runs only on spaces within it, and the model keeps it for sampling")
+    add_enum_cap(p, "bounds the largest clique of the fit's clique tree, on which the "
+                    "Newton polish runs too; the model keeps it for sampling")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sample", parents=[config],

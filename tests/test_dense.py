@@ -13,10 +13,13 @@ Claims:
       the one-clique path (the whole space through energies and masses)
       on the same random schemas and on a chain, a cycle that needs a
       fill-in edge, disconnected components, attributes in no scope,
-      duplicated patterns and unary-only sets; every clique tree has the
-      running intersection property and puts each group in a clique that
-      holds its scope; a separator entry whose upward message underflows
-      to zero gives zero mass, not NaN
+      duplicated patterns and unary-only sets, and so does calibrate's
+      complex step, the Newton polish's Hessian-vector product, against
+      the features' covariance (a real lam still gives float64 log Z and
+      masses); every clique tree has the running intersection property
+      and puts each group in a clique that holds its scope; a separator
+      entry whose upward message underflows to zero gives zero mass, not
+      NaN
     - the full space is the one clique exactly when the min-fill cliques
       hold at least as many cells
     - the Metropolis chain's energy factors (a clique's log-potential
@@ -28,6 +31,7 @@ Claims:
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ import pytest
 from popmaxent import AttributeSchema, ConstraintSet, MaxEntModel, Pattern, feature_value
 from popmaxent._dense import DEFAULT_ENUM_CAP, ScopeLayout
 from popmaxent.extraction import AtomicConstraint
-from popmaxent.model import _chain_factors
+from popmaxent.model import COMPLEX_STEP, _chain_factors
 
 TOL = 1e-12
 
@@ -84,14 +88,24 @@ def check_against_enumeration(schema, patterns, seed=0):
 
 
 def check_calibration(layout, lam):
-    """The clique tree's log Z and masses against the one-clique path."""
+    """The clique tree's log Z, masses and their complex step against the one-clique path."""
     check_tree_structure(layout)
     e = layout.energies(lam)
     p = np.exp(e - e.max())
     log_z, masses = layout.calibrate(lam)
+    assert isinstance(log_z, float) and masses.dtype == np.float64
     assert log_z == pytest.approx(e.max() + math.log(p.sum()), rel=0, abs=TOL)
     assert masses.shape == lam.shape
-    np.testing.assert_allclose(masses, layout.masses(p / p.sum()), rtol=0, atol=TOL)
+    p /= p.sum()
+    mu = layout.masses(p)
+    np.testing.assert_allclose(masses, mu, rtol=0, atol=TOL)
+    # the polish's Hessian-vector product: the covariance of the features
+    v = np.random.default_rng(lam.size).normal(size=lam.size)
+    with warnings.catch_warnings():  # say, a ComplexWarning for a dropped imaginary part
+        warnings.simplefilter("error")
+        tangent = layout.calibrate(lam + 1j * COMPLEX_STEP * v)[1].imag / COMPLEX_STEP
+    np.testing.assert_allclose(tangent, layout.masses(p * layout.energies(v)) - mu * (mu @ v),
+                               rtol=0, atol=TOL)
 
 
 def check_tree_structure(layout):
@@ -220,6 +234,7 @@ def test_one_clique_path_is_the_dense_path_bit_for_bit():
     log_z, masses = layout.calibrate(lam)
     assert log_z == e.max() + math.log(w.sum())
     assert np.array_equal(masses, layout.masses(w / w.sum()))
+    check_calibration(layout, lam)
 
 
 @pytest.mark.parametrize("enum_cap", [DEFAULT_ENUM_CAP, 1])

@@ -10,8 +10,10 @@ Claims:
     - hard fit reaches 1e-6 residuals on extracted problems, and 1e-13,
       where the dual no longer resolves the steps; at 1e-10 the Newton
       polish does the last part, checked against moments summed from the
-      cell probabilities; the empty fit is the zero-iteration uniform
-      model, duplicated constraints leave the fitted distribution unchanged
+      cell probabilities, also on criterion 2's seed-2002 problem and a
+      K=6 mixture, whose steps need more than 20 conjugate-gradient
+      iterations; the empty fit is the zero-iteration uniform model,
+      duplicated constraints leave the fitted distribution unchanged
     - soft fit: residual decreases in beta, approaches the hard fit at
       large beta, tolerates inconsistent targets, drops zero-weight
       constraints, rejects targets of 1, reports its evaluations and
@@ -36,9 +38,10 @@ Claims:
     - fit_metropolis reports the clique tree its chain ran on
     - the dual runs on the clique tree: 30 and 40 binary attributes with
       50 pairs and 50 triples fit to 1e-6 (their cells stay out of reach:
-      probabilities and sampling raise CapacityError), the K=30 model's
-      tree moments agree with Metropolis estimates, and planted structural
-      zeros leave finite multipliers
+      probabilities and sampling raise CapacityError) and to 1e-10 with
+      the Newton polish on the tree, the K=30 model's tree moments agree
+      with Metropolis estimates, and planted structural zeros leave
+      finite multipliers
 """
 
 import functools
@@ -254,11 +257,16 @@ class TestFitHard:
             assert report.converged, f"k={k} residual {report.residual}"
             assert np.abs(model_moments(model) - cs.targets()).max() <= 1e-13
 
-    @pytest.mark.parametrize("k, seed", [(3, 1), (4, 2), (5, 3)])
-    def test_newton_polish_finishes_below_the_dual_resolution(self, k, seed):
+    @pytest.mark.parametrize("k, seed, n", [
+        (3, 1, 1500), (4, 2, 1500), (5, 3, 1500),
+        # Newton steps of 20 conjugate-gradient iterations left these two
+        # at 5.2e-10 and 2.4e-10
+        (6, 10, 1500), (int(np.random.default_rng(2002).integers(3, 7)), 2002, 1200),
+    ], ids=["3-1", "4-2", "5-3", "6-10", "criterion-2-seed-2002"])
+    def test_newton_polish_finishes_below_the_dual_resolution(self, k, seed, n):
         # at tol 1e-10 L-BFGS stops on a dual flat to rounding; the Newton
         # steps on the gradient alone carry the residual the rest of the way
-        cs = extract_constraints(mixture_population(k, 1500, seed=seed),
+        cs = extract_constraints(mixture_population(k, n, seed=seed),
                                  ExtractionBudget.full())
         model, report = fit_hard(cs, tol=1e-10)
         assert "Newton steps on the residual" in report.message
@@ -344,6 +352,16 @@ class TestCliqueTreeFits:
             model.probabilities()
         with pytest.raises(CapacityError):
             sample_population(model, 10, seed=1)
+
+    @pytest.mark.parametrize("k", [30, 40])
+    def test_newton_polish_runs_over_the_cap(self, k):
+        # the polish reads the clique tree alone; when it enumerated the
+        # space these fits skipped it and stopped at 7.1e-9 and 9.7e-9
+        cs, _, _ = binary_mixture_fit(k)
+        model, report = fit_hard(cs, tol=1e-10)
+        assert report.converged
+        assert "Newton steps on the residual" in report.message
+        assert np.abs(model_moments(model) - cs.targets()).max() <= 1e-10
 
     def test_tree_moments_are_the_chains_oracle(self):
         # the chain mixes slowly between the mixture's components: over
