@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -325,6 +327,12 @@ def check_scope(pop: Population, scope: Sequence[int]) -> tuple[int, ...]:
     return scope
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a stopping tolerance no residual can meet or that always holds."""
+    if not 0.0 < value < math.inf:  # also false for nan
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
 class _ScopeGroup:
     """The flat table of one attribute scope, in row-major order over the scope."""
 
@@ -412,6 +420,16 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+# a line that holds a row: neither blank nor a ``#`` comment
+_ROW_LINE = re.compile(r"\s*[^\s#]")
+
+
+def _line_number(text: str, kept: int) -> int:
+    """The line number in ``text`` of its row line ``kept`` (0 is the header)."""
+    numbers = (n for n, ln in enumerate(text.splitlines(), 1) if _ROW_LINE.match(ln))
+    return next(itertools.islice(numbers, kept, None))
+
+
 def read_population_text(text: str, schema: AttributeSchema | None = None) -> Population:
     """Parse a delimited population document.
 
@@ -420,8 +438,10 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
     Comma and tab delimiters are auto-detected from the header.  Domains
     are fixed as the observed values in order of first appearance unless a
     schema is supplied, in which case unseen categories are a hard error.
+    An error names a row by its line in ``text``, comment and blank lines
+    included.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = list(filter(_ROW_LINE.match, text.splitlines()))
     if not lines:
         raise ValidationError("population file has no header row")
     delim = _detect_delimiter(lines[0])
@@ -461,11 +481,13 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
                 mult = int(raw)
             except ValueError:
                 raise ValidationError(
-                    f"row {body.index(row) + 2}: bad {COUNT_COLUMN} value {raw!r}"
+                    f"row {_line_number(text, body.index(row) + 1)}: "
+                    f"bad {COUNT_COLUMN} value {raw!r}"
                 ) from None
             if mult < 1:
                 raise ValidationError(
-                    f"row {body.index(row) + 2}: {COUNT_COLUMN} must be >= 1, got {mult}"
+                    f"row {_line_number(text, body.index(row) + 1)}: "
+                    f"{COUNT_COLUMN} must be >= 1, got {mult}"
                 )
             values = row[:-1]
         else:
@@ -481,14 +503,16 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
                 assignment.append(lookup[col][label])
             else:
                 raise ValidationError(
-                    f"row {body.index(row) + 2}: unseen category {label!r} "
+                    f"row {_line_number(text, body.index(row) + 1)}: "
+                    f"unseen category {label!r} "
                     f"for attribute {names[col]!r}"
                 )
         assignments.append(assignment)
         mults.append(mult * times)
     if ragged is not None:
         raise ValidationError(
-            f"row {ragged + 2} has {len(rows[ragged + 1])} fields, expected {len(header)}"
+            f"row {_line_number(text, ragged + 1)} has {len(rows[ragged + 1])} fields, "
+            f"expected {len(header)}"
         )
 
     if schema is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP
-from .core import Population
+from .core import Population, check_tolerance
 from .errors import PopmaxentError, ValidationError
 from .extraction import ConstraintSet
 from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard, sample_population
@@ -129,6 +129,11 @@ class BenchmarkGrid:
             raise ValidationError("population sizes must be >= 1")
         if self.jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.rake_iterations < 1:
+            raise ValidationError(f"rake_iterations must be >= 1, got {self.rake_iterations}")
+        check_tolerance("fit_tol", self.fit_tol)
+        if self.rake_tol is not None:
+            check_tolerance("rake_tol", self.rake_tol)
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValidationError(f"methods must be a nonempty subset of {METHODS}")

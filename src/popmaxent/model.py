@@ -44,7 +44,7 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap, check_clique_cap
-from .core import AttributeSchema, Pattern, Population, _ScopeGroup
+from .core import AttributeSchema, Pattern, Population, _ScopeGroup, check_tolerance
 from .errors import ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
@@ -277,6 +277,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     of the masses, run on the clique tree, so the cap bounds its largest
     clique and never the space.
     """
+    check_tolerance("tol", tol)
     layout = constraints.layout
     check_clique_cap(layout, enum_cap)
     clique_fields = _clique_fields(layout)
@@ -463,6 +464,7 @@ def fit_metropolis(
     residual with step size ``step / sqrt(t)``.  The reported residual is
     itself an MCMC estimate, so convergence is approximate by nature.
     """
+    check_tolerance("tol", tol)
     clique_fields = _clique_fields(constraints.layout)
     if constraints.m == 0:
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)

@@ -15,10 +15,18 @@ Two weight carriers share that one update:
   maximum-entropy model itself (Csiszar 1975);
 - a base population's records (``rake(cs, base=pop)``).  Multiplicative
   updates never leave the base's support, so only the occupied cells are
-  carried: projections are ``bincount`` over the records' keys in each
-  scope table, computed once per scope, and updates are gathers.  This
-  is generalized raking in the sense of Deville, Sarndal & Sautory
-  (1993): calibrating the weights of a finite set of individual records.
+  carried.  This is generalized raking in the sense of Deville, Sarndal
+  & Sautory (1993): calibrating the weights of a finite set of
+  individual records.
+
+Both project a scope run the same way: one ``bincount`` of the carried
+weights over each weight's entry in the scope table.  These keys are
+built once per call and kept.  A record's key comes from its
+coordinates; the space's keys are the table's entries broadcast over the
+axes outside the scope, in the smallest unsigned dtype that holds them,
+so they cost one byte per cell per scope group while a table has at most
+256 entries (two bytes up to 65,536).  The rescaling multiplies by the
+factor table: gathered per record, broadcast over the space.
 
 The inner loop batches consecutive same-scope constraints: within a scope
 the patterns are disjoint, so the sequence of scalar rescale/renormalize
@@ -34,7 +42,9 @@ running per-combination factors are a list, and the factor table goes
 back to numpy once per run.  A numpy scalar costs several times a float
 in such a loop, and both are IEEE doubles, so the weights, pass counts
 and deviations are bit-identical to the same replay on numpy scalars
-(tested against a frozen copy of it).  A closed-form per-run update
+(tested against a frozen copy of it, whose record carrier run over every
+cell is what the space carrier computes; its space carrier summed along
+axes, which rounds differently).  A closed-form per-run update
 (``cumprod`` over the running factors) would change the rounding.
 
 The benchmark's raking arm rakes a record pool (:func:`unary_pool`,
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap
-from .core import AttributeSchema, Population, cell_codes
+from .core import AttributeSchema, Population, cell_codes, check_tolerance
 from .errors import UnmatchableConstraintError, ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
@@ -120,32 +130,30 @@ def _rake_array(
     runs = _runs(constraints)
     max_dev = math.inf
     passes = 0
-    # per layout group: project() lists the carried mass of each table
-    # entry, scale(fac) multiplies every weight by its entry's factor
+    # per layout group: the table entry of every carried weight, and
+    # scale(fac), which multiplies every weight by its entry's factor
     if cells is None:
-        wv = start.reshape(schema.shape)
+        wd = start.reshape(schema.shape)
 
         def carrier(group):
-            summed = tuple(a for a in range(schema.k) if a not in group.scope)
             bshape = tuple(d if a in group.scope else 1 for a, d in enumerate(schema.shape))
-            return (lambda: wv.sum(axis=summed).ravel().tolist(),
-                    lambda fac: np.multiply(wv, np.array(fac).reshape(bshape), out=wv))
+            entry = np.arange(group.size, dtype=np.min_scalar_type(group.size - 1))
+            return (np.broadcast_to(entry.reshape(bshape), schema.shape).ravel(),
+                    lambda fac: np.multiply(wd, np.array(fac).reshape(bshape), out=wd))
     else:
-        wv = start
         coords = np.unravel_index(np.asarray(cells, dtype=np.int64), schema.shape)
 
         def carrier(group):
             keys = group.keys(coords)
-            return (lambda: np.bincount(keys, weights=wv, minlength=group.size).tolist(),
-                    lambda fac: np.multiply(wv, np.array(fac).take(keys), out=wv))
+            return keys, lambda fac: np.multiply(start, np.array(fac).take(keys), out=start)
     carriers = [carrier(g) for g in groups]
 
     for _ in range(iterations):
         max_dev = 0.0
         for g, items in runs:
             size = groups[g].size
-            project, scale = carriers[g]
-            proj = project()
+            keys, scale = carriers[g]
+            proj = np.bincount(keys, weights=start, minlength=size).tolist()
             glob = 1.0
             gfac = [1.0] * size
             for flat, target, rest, j in items:
@@ -176,7 +184,7 @@ def _rake_array(
                 if dev > max_dev:
                     max_dev = dev
             scale([f * glob for f in gfac])
-        wv /= wv.sum()  # guard float drift across many passes
+        start /= start.sum()  # guard float drift across many passes
         passes += 1
         if tol is not None and max_dev <= tol:
             break
@@ -206,6 +214,8 @@ def _rake(
     """:func:`rake`, plus the passes run and the largest factor deviation of the last pass."""
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
+    if tol is not None:
+        check_tolerance("tol", tol)
     schema = constraints.schema
     check_cap(schema, enum_cap)
     n = schema.n_cells

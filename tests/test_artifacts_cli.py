@@ -22,6 +22,9 @@ Claims:
     - flags that did nothing (``--enum-cap`` on extract, sample and eval,
       ``--config`` on eval) and ``rake``'s own sampling flags are rejected
       with exit 2 before anything is written
+    - a fit, raking or benchmark tolerance that is not finite and positive,
+      and zero benchmark raking passes, exit 2 naming the value, before
+      anything is written
 """
 
 import json
@@ -397,6 +400,38 @@ class TestCliPipeline:
         assert main(["benchmark", "--problems", str(c), "--out-dir", str(tmp_path / "b"),
                      *flags]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("fit", ["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+        ("fit", ["--tol", "nan"], "tol must be finite and > 0, got nan"),
+        ("fit", ["--tol", "inf"], "tol must be finite and > 0, got inf"),
+        ("fit", ["--tol", "0", "--soft-beta", "10"], "tol must be finite and > 0, got 0.0"),
+        ("fit", ["--tol", "nan", "--metropolis", "--seed", "1"],
+         "tol must be finite and > 0, got nan"),
+        ("rake", ["--rake-tol", "-1"], "tol must be finite and > 0, got -1.0"),
+        ("rake", ["--rake-tol", "nan"], "tol must be finite and > 0, got nan"),
+        ("benchmark", ["--rake-tol", "nan"], "rake_tol must be finite and > 0, got nan"),
+        ("benchmark", ["--tol", "inf"], "fit_tol must be finite and > 0, got inf"),
+        ("benchmark", ["--rake-iterations", "0"], "rake_iterations must be >= 1, got 0"),
+    ], ids=["fit-negative", "fit-nan", "fit-inf", "soft-zero", "metropolis-nan",
+            "rake-negative", "rake-nan", "benchmark-rake-nan", "benchmark-fit-inf",
+            "benchmark-zero-passes"])
+    def test_unmeetable_tolerances_exit_2(self, tmp_path, problem, capsys, command, flags,
+                                          named):
+        _, source = problem
+        c = tmp_path / "c.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "fit": [str(c), "--out", str(out)],
+            "rake": [str(c), "--out", str(out)],
+            "benchmark": ["--problems", str(c), "--sizes", "10", "--seeds", "1",
+                          "--out-dir", str(out)],
+        }[command]
+        assert main([command, *argv, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, config, named", [
         ("fit", {"tol": "tight"}, "--tol"),

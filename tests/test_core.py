@@ -11,7 +11,8 @@ Claims:
       counted form, comment headers, and rejects unseen categories
     - on random files (counted, uncounted, tab-separated, commented, padded
       labels) ingestion equals Population.from_assignments, and each error
-      names the row a row-by-row parse meets first
+      names the row a row-by-row parse meets first, by its line in the
+      file, comment and blank lines included
     - a population's coordinates are computed once and read-only
     - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
       names the limit, from the generators and from ingestion alike
@@ -351,6 +352,11 @@ class TestVectorIngest:
         ("A,B\nx,0\nx\nz,0\n", "row 3 has 1 fields, expected 2"),
         # repeated rows before the error still count
         ("A,B\nx,0\nx,0\ny,1\nx,0\nz,0\n", "row 6: unseen category 'z' for attribute 'A'"),
+        # rows are numbered by their line in the file: blank and comment
+        # lines count
+        ("A,B\nx,0\n\n   \ny,1\nz,0\n", "row 6: unseen category 'z' for attribute 'A'"),
+        ("A,B\n# note\nx,0\n\t\nz,1\n", "row 5: unseen category 'z' for attribute 'A'"),
+        ("# a\nA,B\n\nx,0\n# b\nx\n", "row 6 has 1 fields, expected 2"),
     ])
     def test_errors_with_a_schema(self, text, message):
         schema = read_population_text("A,B\nx,0\ny,1\n").schema
@@ -368,12 +374,27 @@ class TestVectorIngest:
         ("A,B,__count\nx,0\nx,1,0\n", "row 2 has 2 fields, expected 3"),
         ("A,B,__count\nx,0,1\nx,0,1\nx,0,1\ny,1,q\n", "row 5: bad __count value 'q'"),
         ("A,B,__count\nx,0,2\ny,1,3\nx,0,2\ny,1,0\n", "row 5: __count must be >= 1, got 0"),
+        # comment lines before the header, as written with header comments
+        ("# a\n# b\n# c\nA,B,__count\nx,0,2\ny,1,q\n", "row 6: bad __count value 'q'"),
+        ("# a\nA,B,__count\nx,0,0\n", "row 3: __count must be >= 1, got 0"),
+        # a repeated row is reported at its first line
+        ("A,B,__count\n\nx,0,-1\n# c\nx,0,-1\n", "row 3: __count must be >= 1, got -1"),
     ])
     def test_count_errors(self, text, message):
         schema = read_population_text("A,B\nx,0\ny,1\n").schema
         with pytest.raises(ValidationError) as info:
             read_population_text(text, schema=schema)
         assert str(info.value) == message
+
+    def test_error_line_in_a_written_file(self):
+        schema = read_population_text("A,B\nx,0\ny,1\n").schema
+        pop = Population.from_assignments(schema, [(0, 0), (1, 0), (1, 1)])
+        text = population_text(pop, header_comments=["one", "two", "three"])
+        lines = text.splitlines()
+        assert lines[5] == "y,0,1"  # physical line 6: the third comment-free row
+        lines[5] = "y,0,many"
+        with pytest.raises(ValidationError, match=r"^row 6: bad __count value 'many'$"):
+            read_population_text("\n".join(lines) + "\n", schema=schema)
 
     def test_header_only_file(self):
         schema = schema_of(2, 2)

@@ -15,7 +15,11 @@ Claims:
       sample_weighted, and scored on every constraint; its converged flag
       reports whether the last pass met the raking tolerance, and a cell
       whose raking fails is recorded as a failure
+    - a grid whose fit or raking tolerance is not finite and positive, or
+      that rakes for zero passes, is rejected, naming the value
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -235,6 +239,18 @@ class TestBenchmark:
             self.grid(sizes=())
         with pytest.raises(ValidationError):
             self.grid(methods=("maxent", "annealing"))
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(fit_tol=0.0), "fit_tol must be finite and > 0, got 0.0"),
+        (dict(fit_tol=math.inf), "fit_tol must be finite and > 0, got inf"),
+        (dict(rake_tol=math.nan), "rake_tol must be finite and > 0, got nan"),
+        (dict(rake_tol=-1e-9), "rake_tol must be finite and > 0, got -1e-09"),
+        (dict(rake_iterations=0), "rake_iterations must be >= 1, got 0"),
+    ])
+    def test_grid_rejects_unmeetable_stopping_rules(self, options, message):
+        with pytest.raises(ValidationError) as exc:
+            self.grid(**options)
+        assert str(exc.value) == message
 
 
 class TestRakingArm:

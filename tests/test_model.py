@@ -20,7 +20,8 @@ Claims:
       clique tree, and runs on the tree beyond the enumeration cap (and
       raises CapacityError when the cap is below the largest clique)
     - a target of 1 is rejected with a message naming the first such
-      pattern
+      pattern; hard, soft and Metropolis fits reject a tolerance that is
+      not finite and positive before fitting
     - the driver's rescaled multipliers stay out of sight: hard and soft
       reports give the dual value, residual and soft convergence of the
       returned multipliers, recomputed independently; a weak penalty's
@@ -327,6 +328,15 @@ class TestFitHard:
         with pytest.raises(ValidationError) as exc:
             MaxEntModel(cs, np.zeros(cs.m))
         assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_unmeetable_tol_rejected_before_fitting(self, tol):
+        cs = cs_of(schema_of(2, 2), [({0: 0}, 0.4)])
+        message = rf"^tol must be finite and > 0, got {tol!r}$"
+        for fit in (fit_hard, functools.partial(fit_soft, cfg=SoftFitConfig(beta=10.0)),
+                    functools.partial(fit_metropolis, seed=1, iterations=1)):
+            with pytest.raises(ValidationError, match=message):
+                fit(cs, tol=tol)
 
 
 @functools.lru_cache(maxsize=None)
