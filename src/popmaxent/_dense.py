@@ -1,48 +1,52 @@
 """Internal dense-enumeration machinery and exact inference on a clique tree.
 
-Constraints are grouped by the attribute scope of their patterns.  A dual
-evaluation, or a complex step of it (the Newton polish's Hessian-vector
-product), needs log Z and every pattern's mass under the model; cell
-probabilities need the per-cell feature sums (``energies``), and
-``masses`` gives the pattern masses of a dense cell vector.  Computing
-each scope's marginal from the full space costs one pass over every cell
-per scope group, so a hundred groups cost a hundred passes per call.
+Every fit and its Newton polish run on ``ScopeLayout.calibrate``: a dual
+evaluation, or a complex step of it (the polish's Hessian-vector
+product), needs log Z and every pattern's mass under the model, and
+neither needs an array over the whole space.  The *clique tree*
+(``ScopeLayout.cliques``) eliminates attributes in min-fill order from
+the graph joining every two attributes that share a scope (ties go to the
+lowest attribute index), keeps the maximal cliques of that elimination,
+and joins them by a maximum-weight spanning tree on the number of
+attributes they share, which gives the running intersection property.
+Constraints are grouped by the attribute scope of their patterns; each
+scope group belongs to the smallest clique holding its scope.
+``calibrate`` is sum-product calibration (Lauritzen & Spiegelhalter
+1988).  Upward, each clique adds its children's log messages to its
+log-potential, shifts by the maximum, exponentiates, and sends its
+separator marginal, normalised; log Z is the exactly rounded sum
+(``math.fsum``) of the shifts and the normalisers.  Downward, each clique
+takes its parent's separator marginal over the message it sent (Hugin),
+with 0 where that message is 0, and reads its groups' masses off the
+result.  No array is larger than the largest clique.  When the min-fill
+cliques hold at least as many cells as the space, the tree is the one
+clique of every attribute: calibration is then one pass of the dense
+kernels below, the same operations in the same order as enumerating the
+space.
 
-Both dense kernels instead walk one *sum-out tree* over the groups, built
-once per layout.  A node holds the groups that share its array; its array
-ranges over the union of their scopes (attributes no group at the node
-uses are summed out together, in one reduction).  The groups split on the
-first attribute, in canonical order, that some but not all of them use:
-the branch lacking it sums that axis out once and its groups share the
-result.  A node left with one group has reduced to that group's scope.
-Each reduction therefore works on an array already shrunk by its
+Within a clique, computing each group's marginal from the clique's array
+would cost one pass per group, so a hundred groups would cost a hundred
+passes.  Each clique instead walks one *sum-out tree* over its groups,
+built once per layout.  A node holds the groups that share its array; its
+array ranges over the union of their scopes (attributes no group at the
+node uses are summed out together, in one reduction).  The groups split
+on the first attribute, in canonical order, that some but not all of
+them use: the branch lacking it sums that axis out once and its groups
+share the result.  A node left with one group has reduced to that group's
+scope.  Each reduction therefore works on an array already shrunk by its
 ancestors, and a few full passes serve every group.  This is the summing
 step of variable elimination (Koller & Friedman 2009, ch. 9), with the
-elimination order fixed by the canonical attribute order.  ``energies``
-walks the same tree the other way: per-scope multiplier tables are added
-up toward the root by broadcasting.  Duplicate patterns are supported:
-their multipliers accumulate and their masses coincide.
+elimination order fixed by the canonical attribute order.  The tree's
+``energies`` walks it the other way: per-scope multiplier tables are
+added up toward the root by broadcasting, which builds a clique's
+log-potential.  Duplicate patterns are supported: their multipliers
+accumulate and their masses coincide.
 
-log Z and the masses need no array over the whole space.  The *clique
-tree* (``ScopeLayout.cliques``) eliminates attributes in min-fill order
-from the graph joining every two attributes that share a scope (ties go
-to the lowest attribute index), keeps the maximal cliques of that
-elimination, and joins them by a maximum-weight spanning tree on the
-number of attributes they share, which gives the running intersection
-property.  Each scope group belongs to the smallest clique holding its
-scope, and each clique runs the sum-out tree above over its own axes, for
-its own groups.  ``ScopeLayout.calibrate`` is sum-product calibration
-(Lauritzen & Spiegelhalter 1988).  Upward, each clique adds its
-children's log messages to its log-potential, shifts by the maximum,
-exponentiates, and sends its separator marginal, normalised; log Z is
-the exactly rounded sum (``math.fsum``) of the shifts and the
-normalisers.  Downward, each clique takes its parent's separator
-marginal over the message it sent (Hugin), with 0 where that message is
-0, and reads its groups' masses off the result.  No array is larger than
-the largest clique.  When the min-fill cliques hold at least as many cells as
-the space, the tree is the one clique of every attribute: calibration is
-then one pass of the dense kernels, the same operations in the same order
-as enumerating the space.
+``ScopeLayout.energies`` and ``ScopeLayout.masses`` run the same kernels
+over the whole space, as one clique of every attribute.  No fit calls
+them: ``energies`` serves only ``MaxEntModel.probabilities()``,
+and ``masses`` only the references in the tests and in perfbench, which
+traces both by name; the ROADMAP's open items plan their removal.
 
 The layout is the one index of the scope tables for fitting, raking
 and scoring: a group's ``strides`` and ``keys`` give the flat table entry

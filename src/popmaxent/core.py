@@ -333,6 +333,12 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def check_count(name: str, value: int) -> None:
+    """Reject an iteration, pass or job count below 1."""
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 class _ScopeGroup:
     """The flat table of one attribute scope, in row-major order over the scope."""
 

@@ -13,14 +13,13 @@ per cell; the raking arm rakes a fresh record pool per cell (see
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP
-from .core import Population, check_tolerance
+from .core import Population, check_count, check_tolerance
 from .errors import PopmaxentError, ValidationError
 from .extraction import ConstraintSet
 from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard, sample_population
@@ -52,7 +51,6 @@ class EvalResult:
     per_arity: dict[int, float]
     worst: tuple[WorstConstraint, ...]
     n: int
-    seconds: float = field(compare=False, default=0.0)
 
 
 def mre(pop: Population, constraints: ConstraintSet) -> EvalResult:
@@ -61,7 +59,6 @@ def mre(pop: Population, constraints: ConstraintSet) -> EvalResult:
         raise ValidationError("population schema does not match constraint set")
     if pop.total == 0:
         raise ValidationError("cannot score an empty population")
-    t0 = time.perf_counter()
     achieved = constraints.layout.sparse_masses(pop.cells, pop.counts, pop.total)
     targets = constraints.targets()
     rel = np.abs(achieved - targets) / targets
@@ -85,7 +82,6 @@ def mre(pop: Population, constraints: ConstraintSet) -> EvalResult:
         per_arity=per_arity,
         worst=worst,
         n=pop.total,
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -127,10 +123,9 @@ class BenchmarkGrid:
             raise ValidationError("benchmark seeds must be distinct")
         if any(n < 1 for n in self.sizes):
             raise ValidationError("population sizes must be >= 1")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.rake_iterations < 1:
-            raise ValidationError(f"rake_iterations must be >= 1, got {self.rake_iterations}")
+        check_count("jobs", self.jobs)
+        check_count("fit_max_iter", self.fit_max_iter)
+        check_count("rake_iterations", self.rake_iterations)
         check_tolerance("fit_tol", self.fit_tol)
         if self.rake_tol is not None:
             check_tolerance("rake_tol", self.rake_tol)

@@ -44,13 +44,16 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap, check_clique_cap
-from .core import AttributeSchema, Pattern, Population, _ScopeGroup, check_tolerance
+from .core import AttributeSchema, Pattern, Population, _ScopeGroup, check_count, check_tolerance
 from .errors import ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 5000
+METROPOLIS_ITERATIONS = 200  # fit_metropolis: gradient steps,
+METROPOLIS_SWEEPS = 20_000  # chain sweeps per step,
+METROPOLIS_BURN_IN = 1_000  # of which burn-in
 POLISH_STEPS = 5  # Newton steps after L-BFGS stops on a flat dual short of tol
 POLISH_CG_ITERATIONS = 100  # conjugate-gradient iterations per Newton step
 COMPLEX_STEP = 1e-30  # imaginary step of the polish's Hessian-vector product
@@ -278,6 +281,7 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     clique and never the space.
     """
     check_tolerance("tol", tol)
+    check_count("max_iter", max_iter)
     layout = constraints.layout
     check_clique_cap(layout, enum_cap)
     clique_fields = _clique_fields(layout)
@@ -450,9 +454,9 @@ def fit_metropolis(
     constraints: ConstraintSet,
     *,
     seed: int,
-    iterations: int = 200,
-    sweeps: int = 20_000,
-    burn_in: int = 1_000,
+    iterations: int = METROPOLIS_ITERATIONS,
+    sweeps: int = METROPOLIS_SWEEPS,
+    burn_in: int = METROPOLIS_BURN_IN,
     step: float = 0.1,
     tol: float = DEFAULT_TOL,
     enum_cap: int = DEFAULT_ENUM_CAP,
@@ -465,6 +469,7 @@ def fit_metropolis(
     itself an MCMC estimate, so convergence is approximate by nature.
     """
     check_tolerance("tol", tol)
+    check_count("iterations", iterations)
     clique_fields = _clique_fields(constraints.layout)
     if constraints.m == 0:
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)

@@ -23,8 +23,8 @@ Claims:
       ``--config`` on eval) and ``rake``'s own sampling flags are rejected
       with exit 2 before anything is written
     - a fit, raking or benchmark tolerance that is not finite and positive,
-      and zero benchmark raking passes, exit 2 naming the value, before
-      anything is written
+      zero benchmark raking passes, and a fit iteration cap below 1, exit 2
+      naming the value, before anything is written
 """
 
 import json
@@ -413,9 +413,15 @@ class TestCliPipeline:
         ("benchmark", ["--rake-tol", "nan"], "rake_tol must be finite and > 0, got nan"),
         ("benchmark", ["--tol", "inf"], "fit_tol must be finite and > 0, got inf"),
         ("benchmark", ["--rake-iterations", "0"], "rake_iterations must be >= 1, got 0"),
+        ("fit", ["--iters", "0"], "max_iter must be >= 1, got 0"),
+        ("fit", ["--iters", "-5"], "max_iter must be >= 1, got -5"),
+        ("fit", ["--iters", "0", "--metropolis", "--seed", "1"],
+         "iterations must be >= 1, got 0"),
+        ("benchmark", ["--iters", "0"], "fit_max_iter must be >= 1, got 0"),
     ], ids=["fit-negative", "fit-nan", "fit-inf", "soft-zero", "metropolis-nan",
             "rake-negative", "rake-nan", "benchmark-rake-nan", "benchmark-fit-inf",
-            "benchmark-zero-passes"])
+            "benchmark-zero-passes", "fit-zero-iters", "fit-negative-iters",
+            "metropolis-zero-iters", "benchmark-zero-iters"])
     def test_unmeetable_tolerances_exit_2(self, tmp_path, problem, capsys, command, flags,
                                           named):
         _, source = problem

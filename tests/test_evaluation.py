@@ -246,6 +246,8 @@ class TestBenchmark:
         (dict(rake_tol=math.nan), "rake_tol must be finite and > 0, got nan"),
         (dict(rake_tol=-1e-9), "rake_tol must be finite and > 0, got -1e-09"),
         (dict(rake_iterations=0), "rake_iterations must be >= 1, got 0"),
+        (dict(fit_max_iter=0), "fit_max_iter must be >= 1, got 0"),
+        (dict(fit_max_iter=-5), "fit_max_iter must be >= 1, got -5"),
     ])
     def test_grid_rejects_unmeetable_stopping_rules(self, options, message):
         with pytest.raises(ValidationError) as exc:

@@ -21,7 +21,7 @@ Claims:
       raises CapacityError when the cap is below the largest clique)
     - a target of 1 is rejected with a message naming the first such
       pattern; hard, soft and Metropolis fits reject a tolerance that is
-      not finite and positive before fitting
+      not finite and positive, and an iteration cap below 1, before fitting
     - the driver's rescaled multipliers stay out of sight: hard and soft
       reports give the dual value, residual and soft convergence of the
       returned multipliers, recomputed independently; a weak penalty's
@@ -337,6 +337,17 @@ class TestFitHard:
                     functools.partial(fit_metropolis, seed=1, iterations=1)):
             with pytest.raises(ValidationError, match=message):
                 fit(cs, tol=tol)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_iteration_cap_below_1_rejected_before_fitting(self, cap):
+        cs = cs_of(schema_of(2, 2), [({0: 0}, 0.4)])
+        for fit, name in ((functools.partial(fit_hard, max_iter=cap), "max_iter"),
+                          (functools.partial(fit_soft, cfg=SoftFitConfig(beta=10.0),
+                                             max_iter=cap), "max_iter"),
+                          (functools.partial(fit_metropolis, seed=1, iterations=cap),
+                           "iterations")):
+            with pytest.raises(ValidationError, match=rf"^{name} must be >= 1, got {cap}$"):
+                fit(cs)
 
 
 @functools.lru_cache(maxsize=None)
