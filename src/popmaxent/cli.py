@@ -56,10 +56,13 @@ def _load_config(args, parser: argparse.ArgumentParser) -> None:
     """Make the values of ``args.config`` the defaults of the command's ``parser``.
 
     A key is one of the command's optional flags that takes a value; a
-    number is checked against the flag's type, and null leaves the default.
+    value is checked against the flag's type, and null leaves the default.
     """
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"config file {args.config} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
     flags = {a.dest: a for a in parser._actions if a.option_strings and a.nargs != 0
@@ -68,9 +71,8 @@ def _load_config(args, parser: argparse.ArgumentParser) -> None:
     if unknown:
         raise ValidationError(f"popmaxent {args.command} does not read config key(s) "
                               f"{', '.join(map(repr, unknown))}")
-    parser.set_defaults(**{
-        name: _number(name, value, flags[name].type) if flags[name].type in (int, float)
-        else value for name, value in doc.items() if value is not None})
+    parser.set_defaults(**{name: _typed(name, value, flags[name].type)
+                           for name, value in doc.items() if value is not None})
 
 
 def _resolved(args, **summary) -> dict:
@@ -79,15 +81,20 @@ def _resolved(args, **summary) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip} | summary
 
 
-def _number(name: str, value, kind):
-    """``value`` as ``kind`` (int or float); a ValidationError names option ``name``."""
+def _typed(name: str, value, kind):
+    """``value`` as ``kind`` (int, float, or str for a path; None takes any value).
+
+    A ValidationError names option ``name``.
+    """
+    if kind is None:
+        return value
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, bool) or (kind is str and not isinstance(value, str)) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
+        noun = {int: "an integer", float: "a number", str: "a file path string"}[kind]
         raise ValidationError(
             f"--{name.replace('_', '-')} needs {noun}, got {value!r}") from None
 
@@ -96,7 +103,7 @@ def _ints(name: str, value) -> tuple[int, ...]:
     """Comma-separated integers from a flag or config string, or a config list."""
     items = value if isinstance(value, list) else str(value).split(",")
     try:
-        return tuple(_number(name, v, int) for v in items)
+        return tuple(_typed(name, v, int) for v in items)
     except ValidationError:
         raise ValidationError(
             f"--{name} needs comma-separated integers, got {value!r}") from None
@@ -168,7 +175,7 @@ def cmd_fit(args) -> int:
         wvec = None
         if args.weights:
             with open(args.weights, "r", encoding="utf-8") as fh:
-                wvec = tuple(_number("weights", line, float) for line in fh.read().split())
+                wvec = tuple(_typed("weights", line, float) for line in fh.read().split())
             inputs[args.weights] = artifacts.digest_file(args.weights)
         cfg = SoftFitConfig(beta=args.soft_beta, weights=wvec)
         model, report = fit_soft(cs, cfg, tol=args.tol, max_iter=args.iters,
@@ -333,7 +340,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         f"{METROPOLIS_ITERATIONS} gradient steps with --metropolis)")
     p.add_argument("--soft-beta", dest="soft_beta", type=float,
                    help="soft fit: entropy/fidelity trade-off strength")
-    p.add_argument("--weights", help="soft fit: file of per-constraint weights")
+    p.add_argument("--weights", type=str, help="soft fit: file of per-constraint weights")
     p.add_argument("--metropolis", action="store_true",
                    help="stochastic fit with Metropolis moment estimates (over-cap fallback)")
     p.add_argument("--seed", type=int, help="chain seed (required with --metropolis)")
@@ -361,7 +368,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="full passes over the constraints (default %(default)s)")
     p.add_argument("--rake-tol", dest="rake_tol", type=float,
                    help="optional early stop once a pass changes nothing beyond this")
-    p.add_argument("--base", help="optional seed population CSV to rake instead of uniform")
+    p.add_argument("--base", type=str,
+                   help="optional seed population CSV to rake instead of uniform")
     add_enum_cap(p, "bounds the attribute space raking enumerates")
     p.set_defaults(func=cmd_rake)
 

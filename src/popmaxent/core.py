@@ -35,7 +35,8 @@ class AttributeSchema:
     ``attributes`` is a tuple of ``(name, domain)`` pairs where each domain
     is a tuple of category labels in canonical (ingestion) order.  Every
     domain must hold at least two distinct categories, and attribute names
-    must be unique.
+    must be unique.  No name or label holds a line break (any character
+    ``str.splitlines`` splits on), since a population file row is one line.
     """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -53,6 +54,10 @@ class AttributeSchema:
                 )
             if len(set(domain)) != len(domain):
                 raise ValidationError(f"attribute {name!r} has duplicate category labels")
+            if any("".join(text.splitlines()) != text for text in (name, *domain)):
+                raise ValidationError(
+                    f"attribute {name!r} has a line break in its name or a category label"
+                )
 
     @classmethod
     def from_domains(cls, attrs: Iterable[tuple[str, Sequence[str]]]) -> "AttributeSchema":
@@ -422,18 +427,8 @@ def empirical_frequency(pop: Population, pattern: Pattern) -> float:
 COUNT_COLUMN = "__count"
 
 
-def _detect_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
 # a line that holds a row: neither blank nor a ``#`` comment
 _ROW_LINE = re.compile(r"\s*[^\s#]")
-
-
-def _line_number(text: str, kept: int) -> int:
-    """The line number in ``text`` of its row line ``kept`` (0 is the header)."""
-    numbers = (n for n, ln in enumerate(text.splitlines(), 1) if _ROW_LINE.match(ln))
-    return next(itertools.islice(numbers, kept, None))
 
 
 def read_population_text(text: str, schema: AttributeSchema | None = None) -> Population:
@@ -444,16 +439,30 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
     Comma and tab delimiters are auto-detected from the header.  Domains
     are fixed as the observed values in order of first appearance unless a
     schema is supplied, in which case unseen categories are a hard error.
-    An error names a row by its line in ``text``, comment and blank lines
-    included.
+    A row is one line: a quoted field may hold the delimiter or ``"`` but
+    not a line break.  Each distinct line is parsed once, however often it
+    repeats.  An error names a row by the first line in ``text`` that
+    holds it, comment and blank lines included.
     """
-    lines = list(filter(_ROW_LINE.match, text.splitlines()))
-    if not lines:
+    raw = text.splitlines()
+    first = next((n for n, line in enumerate(raw) if _ROW_LINE.match(line)), None)
+    if first is None:
         raise ValidationError("population file has no header row")
-    delim = _detect_delimiter(lines[0])
-    reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delim)
-    rows = list(map(tuple, reader))
-    header = [h.strip() for h in rows[0]]
+    # Distinct row lines in order of first appearance, which is the order in
+    # which a row-by-row parse would meet their errors.
+    occurrences = Counter(raw[first + 1:])
+    body = list(filter(_ROW_LINE.match, occurrences))
+    # the empty last line shows a quoted field left open on the last row
+    reader = csv.reader(itertools.chain([raw[first]], body, [""]),
+                        delimiter="\t" if "\t" in raw[first] else ",")
+    open_quote = "quoted field runs past the end of its line"
+
+    def line_number(line: str) -> int:
+        return raw.index(line, first + 1) + 1
+
+    header = [h.strip() for h in next(reader)]
+    if reader.line_num != 1:
+        raise ValidationError(f"row {first + 1}: {open_quote}")
     counted = bool(header) and header[-1] == COUNT_COLUMN
     names = header[:-1] if counted else header
     if not names:
@@ -464,41 +473,31 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
             raise ValidationError(
                 f"file attributes {names!r} do not match schema {list(schema.names)!r}"
             )
-        lookup: list[dict[str, int]] = [
-            {label: i for i, label in enumerate(schema.domain(a))} for a in range(schema.k)
-        ]
+        lookup = [{label: i for i, label in enumerate(d)} for _, d in schema.attributes]
     else:
         lookup = [{} for _ in names]
 
-    body = rows[1:]
-    # a row of the wrong width ends the parse: errors in earlier rows come first
-    ragged = next((n for n, row in enumerate(body) if len(row) != len(header)), None)
-    if ragged is not None:
-        body = body[:ragged]
-    # Each distinct row is parsed once, in order of first appearance, which
-    # is the order in which a row-by-row parse would meet its errors.
-    occurrences = Counter(body)
     assignments: list[list[int]] = []
     mults: list[int] = []
-    for row, times in occurrences.items():
+    for line, row in zip(body, reader):
+        if reader.line_num != len(assignments) + 2:
+            raise ValidationError(f"row {line_number(line)}: {open_quote}")
+        if len(row) != len(header):
+            raise ValidationError(f"row {line_number(line)} has {len(row)} fields, "
+                                  f"expected {len(header)}")
         if counted:
-            raw = row[-1].strip()
+            count = row[-1].strip()
             try:
-                mult = int(raw)
+                mult = int(count)
             except ValueError:
                 raise ValidationError(
-                    f"row {_line_number(text, body.index(row) + 1)}: "
-                    f"bad {COUNT_COLUMN} value {raw!r}"
-                ) from None
+                    f"row {line_number(line)}: bad {COUNT_COLUMN} value {count!r}") from None
             if mult < 1:
                 raise ValidationError(
-                    f"row {_line_number(text, body.index(row) + 1)}: "
-                    f"{COUNT_COLUMN} must be >= 1, got {mult}"
-                )
+                    f"row {line_number(line)}: {COUNT_COLUMN} must be >= 1, got {mult}")
             values = row[:-1]
         else:
-            mult = 1
-            values = row
+            mult, values = 1, row
         assignment = []
         for col, label in enumerate(values):
             label = label.strip()
@@ -508,25 +507,14 @@ def read_population_text(text: str, schema: AttributeSchema | None = None) -> Po
                 lookup[col][label] = len(lookup[col])
                 assignment.append(lookup[col][label])
             else:
-                raise ValidationError(
-                    f"row {_line_number(text, body.index(row) + 1)}: "
-                    f"unseen category {label!r} "
-                    f"for attribute {names[col]!r}"
-                )
+                raise ValidationError(f"row {line_number(line)}: unseen category {label!r} "
+                                      f"for attribute {names[col]!r}")
         assignments.append(assignment)
-        mults.append(mult * times)
-    if ragged is not None:
-        raise ValidationError(
-            f"row {_line_number(text, ragged + 1)} has {len(rows[ragged + 1])} fields, "
-            f"expected {len(header)}"
-        )
+        mults.append(mult * occurrences[line])
 
     if schema is None:
-        domains = []
-        for name, seen in zip(names, lookup):
-            ordered = sorted(seen, key=seen.get)
-            domains.append((name, ordered))
-        schema = AttributeSchema.from_domains(domains)
+        # each lookup holds its labels in order of first appearance
+        schema = AttributeSchema.from_domains(zip(names, lookup))
 
     codes = cell_codes(schema, np.array(assignments, dtype=np.intp).reshape(-1, schema.k).T)
     cells, inverse = np.unique(codes, return_inverse=True)
@@ -547,22 +535,21 @@ def population_text(
 
     Counted form writes one row per occupied cell in canonical cell order
     with a ``__count`` column; uncounted form repeats rows per individual.
+    The labels of each attribute are gathered by its coordinates, and every
+    row goes out in one ``writerows`` call.
     """
     out = io.StringIO()
     for line in header_comments:
         out.write(f"# {line}\n")
-    names = list(pop.schema.names)
+    schema = pop.schema
     writer = csv.writer(out, delimiter=",", lineterminator="\n")
-    writer.writerow(names + [COUNT_COLUMN] if counted else names)
+    writer.writerow(list(schema.names) + [COUNT_COLUMN] if counted else schema.names)
     # not pop.coords(): writing a sample out should not keep its coordinates cached
-    coords = np.unravel_index(pop.cells, pop.schema.shape)
-    for i in range(len(pop.cells)):
-        labels = [pop.schema.domain(a)[coords[a][i]] for a in range(pop.schema.k)]
-        if counted:
-            writer.writerow(labels + [int(pop.counts[i])])
-        else:
-            for _ in range(int(pop.counts[i])):
-                writer.writerow(labels)
+    coords = np.unravel_index(pop.cells, schema.shape)
+    if not counted:
+        coords = [np.repeat(c, pop.counts) for c in coords]
+    columns = [np.array(schema.domain(a), dtype=object)[c].tolist() for a, c in enumerate(coords)]
+    writer.writerows(zip(*columns, pop.counts.tolist()) if counted else zip(*columns))
     return out.getvalue()
 
 

@@ -8,17 +8,23 @@ package's current paths can be compared with them bit for bit:
 :func:`frozen_rake_array` (the numpy-scalar raking replay) and
 :func:`frozen_nmi`, :func:`frozen_ipf_fit` and :func:`frozen_triple_score`
 (pair and triple scoring one candidate at a time), and
-:class:`FrozenAliasTable` (the Vose build one entry at a time), and
-:func:`frozen_run_chain` (the Metropolis chain on per-scope tables).  They
-raise the package's own error types, so that errors compare too.
+:class:`FrozenAliasTable` (the Vose build one entry at a time),
+:func:`frozen_run_chain` (the Metropolis chain on per-scope tables), and
+:func:`frozen_read_population_text` and :func:`frozen_population_text`
+(population text parsed one row at a time and written one cell at a time).
+They raise the package's own error types, so that errors compare too.
 """
 
+import csv
+import io
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
+from popmaxent.core import AttributeSchema, Population
 from popmaxent.errors import ConvergenceError, UnmatchableConstraintError, ValidationError
 
 
@@ -404,6 +410,106 @@ def frozen_triple_score(pop, triple):
         (1, 2): frozen_dense_marginal(pop, (j, k)),
     }
     return frozen_kl(observed, frozen_ipf_fit(targets))
+
+
+_FROZEN_ROW_LINE = re.compile(r"\s*[^\s#]")
+
+
+def _frozen_line_number(text, kept):
+    numbers = (n for n, ln in enumerate(text.splitlines(), 1) if _FROZEN_ROW_LINE.match(ln))
+    return next(itertools.islice(numbers, kept, None))
+
+
+def frozen_read_population_text(text, schema=None):
+    """Population text as read before distinct lines were parsed once: every
+    row line through ``csv``, rows counted as parsed tuples, and an error's
+    line found by a second pass over the text."""
+    lines = list(filter(_FROZEN_ROW_LINE.match, text.splitlines()))
+    if not lines:
+        raise ValidationError("population file has no header row")
+    delim = "\t" if "\t" in lines[0] else ","
+    rows = list(map(tuple, csv.reader(io.StringIO("\n".join(lines)), delimiter=delim)))
+    header = [h.strip() for h in rows[0]]
+    counted = bool(header) and header[-1] == "__count"
+    names = header[:-1] if counted else header
+    if not names:
+        raise ValidationError("population file header has no attribute columns")
+    if schema is not None:
+        if list(schema.names) != names:
+            raise ValidationError(
+                f"file attributes {names!r} do not match schema {list(schema.names)!r}"
+            )
+        lookup = [{label: i for i, label in enumerate(schema.domain(a))} for a in range(schema.k)]
+    else:
+        lookup = [{} for _ in names]
+    body = rows[1:]
+    ragged = next((n for n, row in enumerate(body) if len(row) != len(header)), None)
+    if ragged is not None:
+        body = body[:ragged]
+    assignments, mults = [], []
+    for row, times in Counter(body).items():
+        where = f"row {_frozen_line_number(text, body.index(row) + 1)}"
+        if counted:
+            raw = row[-1].strip()
+            try:
+                mult = int(raw)
+            except ValueError:
+                raise ValidationError(f"{where}: bad __count value {raw!r}") from None
+            if mult < 1:
+                raise ValidationError(f"{where}: __count must be >= 1, got {mult}")
+            values = row[:-1]
+        else:
+            mult, values = 1, row
+        assignment = []
+        for col, label in enumerate(values):
+            label = label.strip()
+            if label in lookup[col]:
+                assignment.append(lookup[col][label])
+            elif schema is None:
+                lookup[col][label] = len(lookup[col])
+                assignment.append(lookup[col][label])
+            else:
+                raise ValidationError(
+                    f"{where}: unseen category {label!r} for attribute {names[col]!r}"
+                )
+        assignments.append(assignment)
+        mults.append(mult * times)
+    if ragged is not None:
+        raise ValidationError(
+            f"row {_frozen_line_number(text, ragged + 1)} has {len(rows[ragged + 1])} fields, "
+            f"expected {len(header)}"
+        )
+    if schema is None:
+        schema = AttributeSchema.from_domains(
+            (name, sorted(seen, key=seen.get)) for name, seen in zip(names, lookup)
+        )
+    shape = tuple(len(schema.domain(a)) for a in range(schema.k))
+    codes = np.ravel_multi_index(np.array(assignments, dtype=np.intp).reshape(-1, schema.k).T,
+                                 shape)
+    cells, inverse = np.unique(codes, return_inverse=True)
+    counts = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(counts, inverse, np.array(mults, dtype=np.int64))
+    return Population(schema, cells.astype(np.int64), counts)
+
+
+def frozen_population_text(pop, counted=True, header_comments=()):
+    """Population text as written before rows went out in one ``writerows``:
+    one ``writerow`` per occupied cell, or per individual when uncounted."""
+    out = io.StringIO()
+    for line in header_comments:
+        out.write(f"# {line}\n")
+    names = list(pop.schema.names)
+    writer = csv.writer(out, delimiter=",", lineterminator="\n")
+    writer.writerow(names + ["__count"] if counted else names)
+    coords = np.unravel_index(pop.cells, pop.schema.shape)
+    for i in range(len(pop.cells)):
+        labels = [pop.schema.domain(a)[coords[a][i]] for a in range(pop.schema.k)]
+        if counted:
+            writer.writerow(labels + [int(pop.counts[i])])
+        else:
+            for _ in range(int(pop.counts[i])):
+                writer.writerow(labels)
+    return out.getvalue()
 
 
 def product_distribution(schema, unary_freqs):

@@ -9,8 +9,10 @@ Claims:
     - the CLI pipeline extract -> fit -> sample -> eval runs end to end,
       respects config-file/flag precedence, requires explicit seeds, and
       maps validation, non-convergence, and capacity errors to exit codes
-      2, 3, and 4; a config value of the wrong type exits 2 naming its
-      option, ``sizes``/``seeds`` may be JSON integer lists and
+      2, 3, and 4; a config file that is not valid JSON exits 2 naming the
+      file, and a config value of the wrong type (a number for a path
+      option too) exits 2 naming its option, ``sizes``/``seeds`` may be
+      JSON integer lists and
       ``problems``/``methods`` JSON lists of strings (any other shape exits 2
       naming the key); a config
       key is either read by its command or rejected with exit 2, naming the
@@ -454,6 +456,11 @@ class TestCliPipeline:
         ("benchmark", {"methods": [1]}, "--methods"),
         ("benchmark", {"methods": []}, "--methods"),
         ("benchmark", {"methods": {"raking": True}}, "--methods"),
+        # a path option takes a JSON string, never a file descriptor
+        ("fit", {"weights": 3, "soft_beta": 10}, "--weights"),
+        ("rake", {"base": 3}, "--base"),
+        ("rake", {"base": ["p.csv"]}, "--base"),
+        ("benchmark", {"methods": True}, "--methods"),
     ])
     def test_bad_config_values_exit_2(self, tmp_path, problem, capsys, command, config, named):
         _, source = problem
@@ -475,6 +482,16 @@ class TestCliPipeline:
         assert main([command, *argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("body", ["{not json", "", '{"tol": 1e-6,}', b"\xff\xfe{}"])
+    def test_config_that_is_not_json_exits_2(self, tmp_path, problem, capsys, body):
+        _, source = problem
+        cfg, out = tmp_path / "bad.json", tmp_path / "c.json"
+        (cfg.write_bytes if isinstance(body, bytes) else cfg.write_text)(body)
+        assert main(["extract", str(source), "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not valid JSON: ")
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("command, config, unread", [
         ("extract", {"max_arty": 1}, "max_arty"),

@@ -13,11 +13,21 @@ Claims:
       labels) ingestion equals Population.from_assignments, and each error
       names the row a row-by-row parse meets first, by its line in the
       file, comment and blank lines included
+    - on random files (comma and tab, counted and flat, comments and blank
+      lines, repeated lines, CRLF endings, a data row identical to the
+      header, quoted labels holding the delimiter or ``"``) the reader
+      gives the population, or the error, that the frozen row-by-row reader
+      gives, and the writer the frozen per-cell writer's bytes
+    - a row is one line: a quoted field left open at the end of its line is
+      an error naming that line, and a schema rejects a name or label with
+      a line break, which no file could hold
     - a population's coordinates are computed once and read-only
     - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
       names the limit, from the generators and from ingestion alike
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -40,6 +50,8 @@ from popmaxent import (
 )
 from popmaxent.synthetic import mixture_population
 
+from oracles import frozen_population_text, frozen_read_population_text
+
 
 def schema_of(*sizes):
     return AttributeSchema.from_domains(
@@ -59,6 +71,18 @@ class TestSchema:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValidationError):
             AttributeSchema.from_domains([("A", ("x", "x"))])
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_rejects_line_breaks_in_names_and_labels(self, brk):
+        message = r"^attribute 'A' has a line break in its name or a category label$"
+        with pytest.raises(ValidationError, match=message):
+            AttributeSchema.from_domains([("A", ("x", f"a{brk}b")), ("B", ("u", "v"))])
+        with pytest.raises(ValidationError, match=message):
+            AttributeSchema.from_domains([("A", ("x", f"y{brk}"))])
+        with pytest.raises(ValidationError) as info:
+            AttributeSchema.from_domains([(f"A{brk}", ("x", "y"))])
+        assert str(info.value).startswith(f"attribute {f'A{brk}'!r} has a line break")
 
     def test_counts(self):
         s = schema_of(3, 2, 4)
@@ -396,10 +420,98 @@ class TestVectorIngest:
         with pytest.raises(ValidationError, match=r"^row 6: bad __count value 'many'$"):
             read_population_text("\n".join(lines) + "\n", schema=schema)
 
+    @pytest.mark.parametrize("text, message", [
+        ('A,B\nx,"0\ny,1\n', "row 2: quoted field runs past the end of its line"),
+        # on the last row, with no line after it
+        ('A,B\nx,0\ny,"1\n', "row 3: quoted field runs past the end of its line"),
+        ('A,B\nx,0\ny,"1', "row 3: quoted field runs past the end of its line"),
+        ('# c\n"A,B\nx,0\n', "row 2: quoted field runs past the end of its line"),
+        ('A,"B\n', "row 1: quoted field runs past the end of its line"),
+        # a repeated row is reported at its first line, after earlier errors
+        ('A,B\nx,0\n\ny,"1\ny,"1\n', "row 4: quoted field runs past the end of its line"),
+        ('A,B\nz,0\ny,"1\n', "row 2: unseen category 'z' for attribute 'A'"),
+        ('A,B,__count\nx,0,"3\r\n2"\n', "row 2: quoted field runs past the end of its line"),
+    ])
+    def test_a_quote_open_at_the_end_of_a_line(self, text, message):
+        schema = read_population_text("A,B\nx,0\ny,1\n").schema
+        with pytest.raises(ValidationError) as info:
+            read_population_text(text, schema=schema)
+        assert str(info.value) == message
+
     def test_header_only_file(self):
         schema = schema_of(2, 2)
         pop = read_population_text("A0,A1\n", schema=schema)
         assert pop.total == 0 and pop.cells.size == 0
+
+
+# labels that csv must quote (a delimiter or ``"``), or that hold spaces or ``#``
+_AWKWARD = ["v,1", 'say "hi"', "a\tb", '"', "x # y", ",\t,"]
+
+
+def _parity_file(rng, counted, delim, crlf):
+    """A random population file: comments and blank lines, repeated lines,
+    quoted labels and, uncounted, a row identical to the header."""
+    # a tab shows in the header only between two columns
+    k = int(rng.integers(1 + (delim == "\t"), 4))
+    names = [f"A{a}" for a in range(k)]
+    domains = [[names[a], *rng.choice(_AWKWARD, 2, replace=False), f"w{a}"] for a in range(k)]
+
+    def line(labels, count):
+        buf = io.StringIO()
+        padded = [(" " if rng.random() < 0.3 else "") + label for label in labels]
+        csv.writer(buf, delimiter=delim, lineterminator="").writerow(
+            padded + ([count] if counted else []))
+        return buf.getvalue()
+
+    distinct = [line([d[int(rng.integers(len(d)))] for d in domains], int(rng.integers(1, 5)))
+                for _ in range(int(rng.integers(2, 12)))]
+    if not counted:
+        distinct.append(delim.join(names))
+    lines = ["# generated", "", delim.join(names + (["__count"] if counted else []))]
+    for _ in range(int(rng.integers(0, 40))):
+        roll = rng.random()
+        lines.append("  # note" if roll < 0.1 else " \t" if roll < 0.15
+                     else distinct[int(rng.integers(len(distinct)))])
+    # every column sees two labels, so that the file fixes a valid schema
+    lines += [line([d[i] for d in domains], 1) for i in (1, 2)]
+    return ("\r\n" if crlf else "\n").join(lines) + "\n"
+
+
+class TestFrozenParity:
+    @pytest.mark.parametrize("counted", [False, True])
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_reader_equals_frozen_reader(self, counted, delim, crlf):
+        rng = np.random.default_rng([counted, delim == "\t", crlf, 18])
+        other = read_population_text("A0,A1,A2\nw0,w1,w2\nv,v,v\n").schema
+        for _ in range(40):
+            text = _parity_file(rng, counted, delim, crlf)
+            want = frozen_read_population_text(text)
+            got = read_population_text(text)
+            assert got.schema == want.schema
+            assert got.equals(want)
+            assert read_population_text(text, schema=want.schema).equals(want)
+            # errors against a schema the file does not fit compare too
+            for schema in (other, AttributeSchema(other.attributes[:want.schema.k])):
+                with pytest.raises(ValidationError) as frozen:
+                    frozen_read_population_text(text, schema=schema)
+                with pytest.raises(ValidationError) as info:
+                    read_population_text(text, schema=schema)
+                assert str(info.value) == str(frozen.value)
+
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_writer_bytes_equal_frozen_writer(self, counted):
+        rng = np.random.default_rng([counted, 18])
+        for _ in range(20):
+            sizes = rng.integers(2, 5, size=int(rng.integers(1, 5)))
+            schema = AttributeSchema.from_domains(
+                (f"A{a}", [*_AWKWARD[:d - 1], f"c{a}"]) for a, d in enumerate(sizes))
+            rows = rng.integers(0, sizes, size=(int(rng.integers(0, 80)), len(sizes)))
+            pop = Population.from_assignments(schema, [tuple(r) for r in rows])
+            text = population_text(pop, counted=counted, header_comments=["one", "two"])
+            assert text == frozen_population_text(pop, counted=counted,
+                                                  header_comments=["one", "two"])
+            assert read_population_text(text, schema=schema).equals(pop)
 
 
 class TestCoords:
