@@ -36,7 +36,9 @@ class AttributeSchema:
     is a tuple of category labels in canonical (ingestion) order.  Every
     domain must hold at least two distinct categories, and attribute names
     must be unique.  No name or label holds a line break (any character
-    ``str.splitlines`` splits on), since a population file row is one line.
+    ``str.splitlines`` splits on), since a population file row is one line,
+    or leading or trailing whitespace, which the reader strips; and none of
+    the first attribute starts with ``#``, which would make its line a comment.
     """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -58,6 +60,12 @@ class AttributeSchema:
                 raise ValidationError(
                     f"attribute {name!r} has a line break in its name or a category label"
                 )
+            if any(text != text.strip() for text in (name, *domain)):
+                raise ValidationError(f"attribute {name!r} has leading or trailing whitespace "
+                                      "in its name or a category label")
+        if any(text.startswith("#") for text in (names[0], *self.attributes[0][1])):
+            raise ValidationError(f"attribute {names[0]!r} is first, so its name and category "
+                                  "labels must not start with '#'")
 
     @classmethod
     def from_domains(cls, attrs: Iterable[tuple[str, Sequence[str]]]) -> "AttributeSchema":

@@ -357,7 +357,9 @@ def sample_population(model: MaxEntModel, n: int, seed: int) -> Population:
 #
 # A proposal changes one attribute, so its energy change is read off the
 # clique factors holding that attribute (:func:`_chain_factors`), one
-# table-pair read each, however many scope groups a clique holds.
+# table-pair read each, however many scope groups a clique holds.  The
+# chain is recorded by its moves, so a proposal of the current category
+# costs one comparison, and visits are counted from the runs between moves.
 # ---------------------------------------------------------------------------
 
 
@@ -389,7 +391,11 @@ def _chain_factors(model: MaxEntModel) -> list[tuple[_ScopeGroup, array]]:
 
 
 def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Population:
-    """Single-site Metropolis chain; returns the post-burn-in visits as a population."""
+    """Single-site Metropolis chain; returns the post-burn-in visits as a population.
+
+    Recorded by its moves, the (step, cell) of each accepted proposal: the
+    cell entered at step t is visited from max(t, burn_in) up to the next move.
+    """
     schema = model.schema
     shape = schema.shape
     k = schema.k
@@ -408,31 +414,32 @@ def _run_chain(model: MaxEntModel, sweeps: int, burn_in: int, seed: int) -> Popu
     cell = space.keys(state)
     flat = [g.keys(state) for g, _ in factors]  # current flat entry per factor
 
-    attrs = rng.integers(0, k, size=sweeps).tolist()
-    cat_u = rng.random(sweeps).tolist()
+    attrs = rng.integers(0, k, size=sweeps)
+    cat_u = rng.random(sweeps)
     acc_u = rng.random(sweeps).tolist()
+    # every step's proposed category: int(u_cat * shape[a]), all at once
+    proposals = (cat_u * np.array(shape)[attrs]).astype(np.int64).tolist()
 
-    visits = array("q")  # int64 cell codes, 8 bytes each
-
-    for t, (a, u_cat, u_acc) in enumerate(zip(attrs, cat_u, acc_u)):
-        old = state[a]
-        new = int(u_cat * shape[a])
-        if new != old:
-            d_e = 0.0
-            deltas = []
-            for table, stride, f_idx in touching[a]:
-                f_old = flat[f_idx]
-                f_new = f_old + (new - old) * stride
-                d_e += table[f_new] - table[f_old]
-                deltas.append((f_idx, f_new))
-            if d_e >= 0.0 or u_acc < math.exp(d_e):
-                state[a] = new
-                cell += (new - old) * cell_strides[a]
-                for f_idx, f_new in deltas:
-                    flat[f_idx] = f_new
-        if t >= burn_in:
-            visits.append(cell)
-    return Population.from_codes(schema, visits)
+    moves = [0, cell]  # (step, cell) pairs, flat; the start cell is entered at step 0
+    for t, a, new, u_acc in zip(range(sweeps), attrs.tolist(), proposals, acc_u):
+        step = new - state[a]
+        if not step:
+            continue
+        d_e = 0.0
+        for table, stride, f_idx in touching[a]:
+            f_old = flat[f_idx]
+            d_e += table[f_old + step * stride] - table[f_old]
+        if d_e >= 0.0 or u_acc < math.exp(d_e):
+            state[a] = new
+            cell += step * cell_strides[a]
+            for _, stride, f_idx in touching[a]:
+                flat[f_idx] += step * stride
+            moves += t, cell
+    steps, entered = np.array(moves, dtype=np.int64).reshape(-1, 2).T
+    runs = np.diff(np.maximum(np.append(steps, sweeps), burn_in))
+    cells, inverse = np.unique(entered, return_inverse=True)
+    counts = np.bincount(inverse, weights=runs).astype(np.int64)
+    return Population(schema, cells[counts > 0], counts[counts > 0])
 
 
 def metropolis_moments(

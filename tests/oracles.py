@@ -9,7 +9,9 @@ package's current paths can be compared with them bit for bit:
 :func:`frozen_nmi`, :func:`frozen_ipf_fit` and :func:`frozen_triple_score`
 (pair and triple scoring one candidate at a time), and
 :class:`FrozenAliasTable` (the Vose build one entry at a time),
-:func:`frozen_run_chain` (the Metropolis chain on per-scope tables), and
+:func:`frozen_run_chain` (the Metropolis chain on per-scope tables) and
+:func:`frozen_clique_chain` (the chain on clique factors, one step per
+proposal), and
 :func:`frozen_read_population_text` and :func:`frozen_population_text`
 (population text parsed one row at a time and written one cell at a time).
 They raise the package's own error types, so that errors compare too.
@@ -20,12 +22,14 @@ import io
 import itertools
 import math
 import re
+from array import array
 from collections import Counter
 
 import numpy as np
 
-from popmaxent.core import AttributeSchema, Population
+from popmaxent.core import AttributeSchema, Population, _ScopeGroup
 from popmaxent.errors import ConvergenceError, UnmatchableConstraintError, ValidationError
+from popmaxent.model import _chain_factors
 
 
 def entropy(freqs):
@@ -328,6 +332,56 @@ def frozen_run_chain(model, sweeps, burn_in, seed):
         if t >= burn_in:
             visits.append(cell)
     return visits
+
+
+def frozen_clique_chain(model, sweeps, burn_in, seed):
+    """Post-burn-in visits of the single-site Metropolis chain as a population,
+    as it ran on clique factors before it was recorded by its moves: one
+    Python step per proposal, no-op proposals included, and one appended
+    cell code per post-burn-in step."""
+    schema = model.schema
+    shape = schema.shape
+    k = schema.k
+    factors = _chain_factors(model)
+    # (factor's table, stride of the attribute in it, factor) per attribute
+    touching = [[] for _ in range(k)]
+    for f_idx, (g, table) in enumerate(factors):
+        for attr, stride in zip(g.scope, g.strides):
+            touching[attr].append((table, stride, f_idx))
+    # the full space as one table: its flat entry is the cell code
+    space = _ScopeGroup(schema, tuple(range(k)))
+    rng = np.random.default_rng(seed)
+
+    state = [int(rng.integers(0, d)) for d in shape]
+    cell_strides = space.strides
+    cell = space.keys(state)
+    flat = [g.keys(state) for g, _ in factors]  # current flat entry per factor
+
+    attrs = rng.integers(0, k, size=sweeps).tolist()
+    cat_u = rng.random(sweeps).tolist()
+    acc_u = rng.random(sweeps).tolist()
+
+    visits = array("q")  # int64 cell codes, 8 bytes each
+
+    for t, (a, u_cat, u_acc) in enumerate(zip(attrs, cat_u, acc_u)):
+        old = state[a]
+        new = int(u_cat * shape[a])
+        if new != old:
+            d_e = 0.0
+            deltas = []
+            for table, stride, f_idx in touching[a]:
+                f_old = flat[f_idx]
+                f_new = f_old + (new - old) * stride
+                d_e += table[f_new] - table[f_old]
+                deltas.append((f_idx, f_new))
+            if d_e >= 0.0 or u_acc < math.exp(d_e):
+                state[a] = new
+                cell += (new - old) * cell_strides[a]
+                for f_idx, f_new in deltas:
+                    flat[f_idx] = f_new
+        if t >= burn_in:
+            visits.append(cell)
+    return Population.from_codes(schema, visits)
 
 
 def frozen_dense_marginal(pop, scope):

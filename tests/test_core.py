@@ -21,6 +21,10 @@ Claims:
     - a row is one line: a quoted field left open at the end of its line is
       an error naming that line, and a schema rejects a name or label with
       a line break, which no file could hold
+    - a schema rejects the text a file would not give back: a name or label
+      with leading or trailing whitespace (the reader strips fields), and a
+      name or label of the first attribute starting with ``#`` (its line
+      would read as a comment); such text elsewhere round-trips
     - a population's coordinates are computed once and read-only
     - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
       names the limit, from the generators and from ingestion alike
@@ -83,6 +87,30 @@ class TestSchema:
         with pytest.raises(ValidationError) as info:
             AttributeSchema.from_domains([(f"A{brk}", ("x", "y"))])
         assert str(info.value).startswith(f"attribute {f'A{brk}'!r} has a line break")
+
+    @pytest.mark.parametrize("attrs", [
+        [("A", (" x", "x"))],
+        [("A", ("x", "y")), ("B", ("u", "v\t"))],
+        [("A", ("x", "y")), ("B ", ("u", "v"))],
+        [("A", ("x", " "))],
+    ], ids=["leading", "trailing-tab", "padded-name", "blank-label"])
+    def test_rejects_padded_names_and_labels(self, attrs):
+        message = (f"^attribute {attrs[-1][0]!r} has leading or trailing whitespace "
+                   "in its name or a category label$")
+        with pytest.raises(ValidationError, match=message):
+            AttributeSchema.from_domains(attrs)
+
+    def test_rejects_a_leading_hash_in_the_first_attributes_name_and_labels(self):
+        message = r"^attribute {} is first, so its name and category labels must not start"
+        with pytest.raises(ValidationError, match=message.format("'A'")):
+            AttributeSchema.from_domains([("A", ("#x", "y")), ("B", ("u", "v"))])
+        with pytest.raises(ValidationError, match=message.format("'#A'")):
+            AttributeSchema.from_domains([("#A", ("x", "y"))])
+        # elsewhere on a line, and inside a label, '#' and whitespace round-trip
+        s = AttributeSchema.from_domains([("A", ("x#", "y z")), ("#B", ("#u", "v"))])
+        pop = Population.from_assignments(s, [(0, 0), (1, 0), (0, 1), (0, 1)])
+        for counted in (True, False):
+            assert read_population_text(population_text(pop, counted), schema=s).equals(pop)
 
     def test_counts(self):
         s = schema_of(3, 2, 4)

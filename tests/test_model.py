@@ -81,7 +81,12 @@ from popmaxent.extraction import AtomicConstraint
 from popmaxent.model import _chain_factors, _run_chain
 from popmaxent.synthetic import mixture_population
 
-from oracles import central_difference_gradient, frozen_run_chain, product_distribution
+from oracles import (
+    central_difference_gradient,
+    frozen_clique_chain,
+    frozen_run_chain,
+    product_distribution,
+)
 
 
 def schema_of(*sizes):
@@ -713,6 +718,41 @@ class TestMetropolis:
                                       return_counts=True)
             assert np.array_equal(visits.cells, cells)
             assert np.array_equal(visits.counts, counts)
+
+    @pytest.fixture(scope="class", params=[
+        "one-clique", "multi-clique", "unary-only", "capped-six", "k40-mixture"])
+    def chain_model(self, request):
+        """Models whose chain is compared step for step with the frozen one."""
+        scopes = {"one-clique": ((3, 2, 3, 2), itertools.combinations(range(4), 3)),
+                  "multi-clique": ((3, 3, 3, 3, 3), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+                  "unary-only": ((2, 3, 4, 2), [(0,), (1,), (2,), (3,)])}
+        if request.param in scopes:
+            sizes, scope_list = scopes[request.param]
+            s = schema_of(*sizes)
+            patterns = [Pattern.of(dict(zip(scope, combo))) for scope in scope_list
+                        for combo in itertools.product(*(range(s.shape[a]) for a in scope))]
+            cs = ConstraintSet(s, tuple(AtomicConstraint(p, 0.5) for p in patterns))
+            return MaxEntModel(cs, np.random.default_rng(7).normal(size=len(patterns)))
+        if request.param == "capped-six":
+            # group tables are the factors, so one attribute touches several
+            pop = mixture_population(6, 3000, seed=11, max_categories=2)
+            cs = extract_constraints(pop, ExtractionBudget.full())
+            return MaxEntModel(cs, fit_hard(cs)[0].lam, enum_cap=16)
+        pop = mixture_population(40, 4000, seed=1, max_categories=3)
+        cs = extract_constraints(pop, ExtractionBudget(binary=ArityBudget(count=100),
+                                                       ternary=ArityBudget(count=100)))
+        assert len(cs.layout.cliques.sizes) == 27
+        return fit_hard(cs)[0]
+
+    @pytest.mark.parametrize("sweeps, burn_in", [
+        (20_000, 500), (20_000, 19_999), (1, 0), (2, 0), (2, 1)])
+    def test_chain_visits_the_frozen_clique_chains_cells(self, chain_model, sweeps, burn_in):
+        for seed in (1, 2, 3):
+            visits = _run_chain(chain_model, sweeps, burn_in, seed)
+            frozen = frozen_clique_chain(chain_model, sweeps, burn_in, seed)
+            assert np.array_equal(visits.cells, frozen.cells)
+            assert np.array_equal(visits.counts, frozen.counts)
+            assert visits.total == sweeps - burn_in
 
     def test_fit_metropolis_reduces_residual(self):
         s = schema_of(2, 2)
