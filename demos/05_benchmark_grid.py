@@ -33,7 +33,6 @@ grid = pm.BenchmarkGrid(
     seeds=(1, 2, 3, 4, 5),
     rake_iterations=1000,
     rake_tol=1e-12,   # stop raking passes early once they change nothing
-    jobs=2,
 )
 report = pm.run_benchmark(grid)
 

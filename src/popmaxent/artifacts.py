@@ -43,6 +43,12 @@ def digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _digest(doc: dict) -> str:
+    """Digest of a document's sorted-key JSON, its provenance left out."""
+    return digest_text(json.dumps({k: v for k, v in doc.items() if k != "provenance"},
+                                  sort_keys=True))
+
+
 def digest_file(path) -> str:
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
@@ -74,7 +80,7 @@ def schema_from_dict(doc: dict) -> AttributeSchema:
 
 
 def schema_digest(schema: AttributeSchema) -> str:
-    return digest_text(json.dumps(schema_to_dict(schema), sort_keys=True))
+    return _digest(schema_to_dict(schema))
 
 
 # -- constraint problems ------------------------------------------------------
@@ -133,9 +139,7 @@ def constraints_from_dict(doc: dict) -> ConstraintSet:
 
 
 def constraints_digest(cs: ConstraintSet) -> str:
-    doc = constraints_to_dict(cs)
-    doc.pop("provenance")
-    return digest_text(json.dumps(doc, sort_keys=True))
+    return _digest(constraints_to_dict(cs))
 
 
 # -- models -------------------------------------------------------------------
@@ -172,12 +176,13 @@ def report_from_dict(doc: dict) -> FitReport:
 
 def model_to_dict(model: MaxEntModel, report: FitReport | None = None,
                   prov: dict | None = None) -> dict:
+    constraints = constraints_to_dict(model.constraints)
     return {
         "format": FORMATS["model"],
         "provenance": prov or provenance(),
-        "schema_digest": schema_digest(model.schema),
-        "constraints_digest": constraints_digest(model.constraints),
-        "constraints": constraints_to_dict(model.constraints),
+        "schema_digest": _digest(constraints["schema"]),
+        "constraints_digest": _digest(constraints),
+        "constraints": constraints,
         "lambda": [_real(v) for v in model.lam],
         "enum_cap": model.enum_cap,
         "fit_report": report_to_dict(report) if report else None,
@@ -188,9 +193,10 @@ def model_from_dict(doc: dict) -> tuple[MaxEntModel, FitReport | None]:
     if doc.get("format") != FORMATS["model"]:
         raise ValidationError(f"not a model document: {doc.get('format')!r}")
     cs = constraints_from_dict(doc["constraints"])
-    if constraints_digest(cs) != doc["constraints_digest"]:
+    # digests of the embedded documents as stored: a re-spelled value fails
+    if _digest(doc["constraints"]) != doc["constraints_digest"]:
         raise ValidationError("model constraint digest mismatch")
-    if schema_digest(cs.schema) != doc["schema_digest"]:
+    if _digest(doc["constraints"]["schema"]) != doc["schema_digest"]:
         raise ValidationError("model schema digest mismatch")
     model = MaxEntModel(
         cs, np.array([float(v) for v in doc["lambda"]]), doc["enum_cap"]

@@ -394,7 +394,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    default=DEFAULT_RAKE_ITERATIONS, help="raking passes (default %(default)s)")
     p.add_argument("--rake-tol", dest="rake_tol", type=float)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sampling jobs (default %(default)s)")
+                   help="worker count, checked (>= 1) and recorded in provenance; "
+                        "cells run one after another (default %(default)s)")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     add_enum_cap(p, "bounds the fit's largest clique, and the attribute space that "
                     "max-ent sampling and raking enumerate")

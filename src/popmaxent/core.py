@@ -27,6 +27,9 @@ MAX_PATTERN_ARITY = 3
 
 MARGINAL_SUM_TOL = 1e-9
 
+# the last column of a counted population file
+COUNT_COLUMN = "__count"
+
 
 @dataclass(frozen=True)
 class AttributeSchema:
@@ -39,6 +42,9 @@ class AttributeSchema:
     ``str.splitlines`` splits on), since a population file row is one line,
     or leading or trailing whitespace, which the reader strips; and none of
     the first attribute starts with ``#``, which would make its line a comment.
+    No name holds a tab, which would make the reader take the file as
+    tab-delimited, and the last attribute is not named ``__count``, which
+    the reader would take as the count column.
     """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -63,9 +69,15 @@ class AttributeSchema:
             if any(text != text.strip() for text in (name, *domain)):
                 raise ValidationError(f"attribute {name!r} has leading or trailing whitespace "
                                       "in its name or a category label")
+            if "\t" in name:
+                raise ValidationError(f"attribute {name!r} has a tab in its name, which would "
+                                      "make its population file read as tab-delimited")
         if any(text.startswith("#") for text in (names[0], *self.attributes[0][1])):
             raise ValidationError(f"attribute {names[0]!r} is first, so its name and category "
                                   "labels must not start with '#'")
+        if names[-1] == COUNT_COLUMN:
+            raise ValidationError(f"attribute {COUNT_COLUMN!r} is last, so its population "
+                                  "file column would read as the count column")
 
     @classmethod
     def from_domains(cls, attrs: Iterable[tuple[str, Sequence[str]]]) -> "AttributeSchema":
@@ -352,6 +364,12 @@ def check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def check_seed(name: str, value) -> None:
+    """Reject a seed that is not a nonnegative integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 class _ScopeGroup:
     """The flat table of one attribute scope, in row-major order over the scope."""
 
@@ -431,9 +449,6 @@ def empirical_frequency(pop: Population, pattern: Pattern) -> float:
 # ---------------------------------------------------------------------------
 # Delimited-text ingestion and emission
 # ---------------------------------------------------------------------------
-
-COUNT_COLUMN = "__count"
-
 
 # a line that holds a row: neither blank nor a ``#`` comment
 _ROW_LINE = re.compile(r"\s*[^\s#]")

@@ -6,20 +6,19 @@ is the empirical frequency of the constraint's pattern in a sampled
 integer population.  The benchmark harness sweeps (problem, method, size,
 seed) cells and reports per-cell errors plus a winner/gap summary per
 (problem, size).  The maxent arm is fitted once per problem and sampled
-per cell; the raking arm rakes a fresh record pool per cell (see
-:func:`run_benchmark`).
+per cell; the raking arm rakes a fresh record pool per cell.  Cells run
+one after another in grid order (see :func:`run_benchmark`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP
-from .core import Population, check_count, check_tolerance
+from .core import Population, check_count, check_seed, check_tolerance
 from .errors import PopmaxentError, ValidationError
 from .extraction import ConstraintSet
 from .model import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_hard, sample_population
@@ -103,7 +102,11 @@ class BenchmarkProblem:
 
 @dataclass(frozen=True)
 class BenchmarkGrid:
-    """Axes and method options of one benchmark run."""
+    """Axes and method options of one benchmark run.
+
+    Cells run one after another whatever ``jobs`` is; it is checked and
+    kept for provenance.
+    """
 
     problems: tuple[BenchmarkProblem, ...]
     sizes: tuple[int, ...]
@@ -119,6 +122,8 @@ class BenchmarkGrid:
     def __post_init__(self):
         if not self.problems or not self.sizes or not self.seeds:
             raise ValidationError("benchmark grid needs problems, sizes, and seeds")
+        for seed in self.seeds:
+            check_seed("seed", seed)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("benchmark seeds must be distinct")
         if any(n < 1 for n in self.sizes):
@@ -170,125 +175,93 @@ class BenchmarkReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _raking_cell(constraints: ConstraintSet, grid: BenchmarkGrid, n: int, seed: int):
-    """Record-level raking for one grid cell; returns (weights, converged).
+def _run_cell(grid: BenchmarkGrid, problem: BenchmarkProblem, method: str, fitted,
+              n: int, seed: int) -> BenchmarkRow | str:
+    """Score one (n, seed) cell of an arm; a raking failure comes back as its line.
 
-    The pool's generator is the first child of ``SeedSequence(seed)``, so
-    it is independent of the stream that later samples the individuals.
+    ``fitted`` is the maxent arm's (model, fit report), None for raking.
+    The raking pool's generator is the first child of ``SeedSequence(seed)``,
+    so it is independent of the stream that samples the individuals.
     """
-    (pool_seed,) = np.random.SeedSequence(seed).spawn(1)
-    pool = unary_pool(constraints, n, pool_seed)
-    weights, _, max_dev = _rake(
-        pool_constraints(constraints, pool),
-        grid.rake_iterations,
-        pool,
-        grid.rake_tol,
-        grid.enum_cap,
-    )
-    tol = grid.rake_tol if grid.rake_tol is not None else grid.fit_tol
-    return weights, max_dev <= tol
+    cs = problem.constraints
+    if method == "maxent":
+        model, fit = fitted
+        synth = sample_population(model, n, seed)
+        converged = fit.converged
+    else:
+        (pool_seed,) = np.random.SeedSequence(seed).spawn(1)
+        try:
+            pool = unary_pool(cs, n, pool_seed)
+            weights, _, max_dev = _rake(pool_constraints(cs, pool), grid.rake_iterations,
+                                        pool, grid.rake_tol, grid.enum_cap)
+        except PopmaxentError as exc:  # recorded, not fatal
+            return f"{problem.name}/{method}/n={n}/seed={seed}: raking failed: {exc}"
+        synth = sample_weighted(weights, n, seed)
+        tol = grid.rake_tol if grid.rake_tol is not None else grid.fit_tol
+        converged = max_dev <= tol
+    scored = mre(synth, cs)
+    by_arity = [scored.per_arity.get(a, math.nan) for a in (1, 2, 3)]
+    return BenchmarkRow(problem.name, problem.k, problem.max_arity, method, n, seed,
+                        scored.mre, *by_arity, converged)
 
 
 def run_benchmark(grid: BenchmarkGrid) -> BenchmarkReport:
     """Sweep the grid and score one sampled population per (problem, method, n, seed).
 
-    The maxent arm fits once per problem and samples the model per
-    (n, seed) with :func:`~popmaxent.model.sample_population`, which draws
-    from the model's one alias table.  The raking arm is record-level
-    generalized raking, run per grid cell: a pool of n candidate records
-    drawn from the unary max-ent distribution
+    The maxent arm fits once per problem and builds the model's alias
+    table once (its "sampling" stage, which enumerates the space that the
+    fit's clique tree does not); each (n, seed) cell then draws from that
+    table with :func:`~popmaxent.model.sample_population`.  The raking arm
+    is record-level generalized raking, run per grid cell: a pool of n
+    candidate records drawn from the unary max-ent distribution
     (:func:`~popmaxent.raking.unary_pool`) has its weights raked toward
     the constraints the pool can carry
     (:func:`~popmaxent.raking.pool_constraints`); every constraint is
     still scored, and :func:`~popmaxent.raking.sample_weighted` draws the
     n individuals.  Both arms draw under the cell's seed.
 
-    Fit failures and per-cell raking failures are recorded in the report
-    instead of raised.  Rows come back in deterministic grid order
-    (problem, method, n, seed) regardless of the worker count.
+    Cells run one after another in the calling thread, in grid order
+    (problem, method, n, seed), which is the order of the rows and of the
+    failures; ``grid.jobs`` does not change that.  A failed fit or table
+    build, and a failed raking cell, is recorded in the report instead of
+    raised.
     """
     rows: list[BenchmarkRow] = []
     failures: list[str] = []
-    acc: dict[tuple[str, int, str], list[float]] = {}
-
     for problem in grid.problems:
-        cs = problem.constraints
         for method in grid.methods:
+            fitted = None
             if method == "maxent":
                 stage = "fit"
                 try:
-                    model, fit = fit_hard(
-                        cs, tol=grid.fit_tol, max_iter=grid.fit_max_iter,
-                        enum_cap=grid.enum_cap,
-                    )
-                    # built here, once, so that no two workers build it; it
-                    # enumerates the space, which the fit's clique tree does not
+                    fitted = fit_hard(problem.constraints, tol=grid.fit_tol,
+                                      max_iter=grid.fit_max_iter, enum_cap=grid.enum_cap)
                     stage = "sampling"
-                    model.alias_table
+                    fitted[0].alias_table  # enumerates the space: a space over the cap fails once
                 except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                     failures.append(f"{problem.name}/{method}: {stage} failed: {exc}")
                     continue
-
-            def cell_job(n: int, seed: int):
-                if method == "maxent":
-                    synth = sample_population(model, n, seed)
-                    converged = fit.converged
-                else:
-                    try:
-                        weights, converged = _raking_cell(cs, grid, n, seed)
-                    except PopmaxentError as exc:  # recorded, not fatal
-                        return f"{problem.name}/{method}/n={n}/seed={seed}: raking failed: {exc}"
-                    synth = sample_weighted(weights, n, seed)
-                scored = mre(synth, cs)
-                by_arity = {a: scored.per_arity.get(a, math.nan) for a in (1, 2, 3)}
-                return BenchmarkRow(
-                    problem=problem.name,
-                    k=problem.k,
-                    max_arity=problem.max_arity,
-                    method=method,
-                    n=n,
-                    seed=seed,
-                    mre=scored.mre,
-                    mre_unary=by_arity[1],
-                    mre_binary=by_arity[2],
-                    mre_ternary=by_arity[3],
-                    converged=converged,
-                )
-
-            cells = [(n, seed) for n in grid.sizes for seed in grid.seeds]
-            if grid.jobs > 1:
-                with ThreadPoolExecutor(max_workers=grid.jobs) as pool:
-                    results = list(pool.map(lambda c: cell_job(*c), cells))
-            else:
-                results = [cell_job(*c) for c in cells]
-            for row in results:
-                if isinstance(row, str):
-                    failures.append(row)
-                    continue
-                rows.append(row)
-                acc.setdefault((problem.name, row.n, method), []).append(row.mre)
+            for n in grid.sizes:
+                for seed in grid.seeds:
+                    row = _run_cell(grid, problem, method, fitted, n, seed)
+                    (failures if isinstance(row, str) else rows).append(row)
 
     summaries: list[BenchmarkSummary] = []
     for problem in grid.problems:
         for n in grid.sizes:
-            mean_mre = {
-                method: float(np.mean(acc[(problem.name, n, method)]))
-                for method in grid.methods
-                if (problem.name, n, method) in acc
-            }
+            mean_mre = {}
+            for method in grid.methods:
+                scores = [r.mre for r in rows
+                          if (r.problem, r.n, r.method) == (problem.name, n, method)]
+                if scores:
+                    mean_mre[method] = float(np.mean(scores))
             if not mean_mre:
                 continue
-            if len(mean_mre) == 1:
-                (winner,) = mean_mre
-                gap = 0.0
-            else:
-                ordered = sorted(mean_mre.items(), key=lambda kv: kv[1])
-                (winner, best), (_, worst) = ordered[0], ordered[-1]
-                if best == worst:
-                    winner = "equal"
-                    gap = 0.0
-                else:
-                    gap = relative_gap(best, worst)
+            ordered = sorted(mean_mre.items(), key=lambda kv: kv[1])
+            (winner, best), (_, worst) = ordered[0], ordered[-1]
+            if best == worst and len(ordered) > 1:
+                winner = "equal"
+            gap = 0.0 if best == worst else relative_gap(best, worst)
             summaries.append(BenchmarkSummary(problem.name, n, mean_mre, winner, gap))
     return BenchmarkReport(rows, summaries, failures)
 

@@ -44,7 +44,8 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap, check_clique_cap
-from .core import AttributeSchema, Pattern, Population, _ScopeGroup, check_count, check_tolerance
+from .core import AttributeSchema, Pattern, Population, _ScopeGroup
+from .core import check_count, check_seed, check_tolerance
 from .errors import ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
@@ -453,6 +454,7 @@ def metropolis_moments(
     """
     if not sweeps > burn_in >= 0:
         raise ValidationError("need sweeps > burn_in >= 0")
+    check_seed("seed", seed)
     visits = _run_chain(model, sweeps, burn_in, seed)
     return model.constraints.layout.sparse_masses(visits.cells, visits.counts, visits.total)
 
@@ -477,6 +479,7 @@ def fit_metropolis(
     """
     check_tolerance("tol", tol)
     check_count("iterations", iterations)
+    check_seed("seed", seed)
     clique_fields = _clique_fields(constraints.layout)
     if constraints.m == 0:
         model = MaxEntModel(constraints, np.zeros(0), enum_cap)

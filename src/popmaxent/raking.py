@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import DEFAULT_ENUM_CAP, check_cap
-from .core import AttributeSchema, Population, cell_codes, check_tolerance
+from .core import AttributeSchema, Population, cell_codes, check_count, check_tolerance
 from .errors import UnmatchableConstraintError, ValidationError
 from .extraction import ConstraintSet
 from .sampling import AliasTable, draw_population
@@ -212,8 +212,7 @@ def _rake(
     enum_cap: int,
 ) -> tuple[WeightVector, int, float]:
     """:func:`rake`, plus the passes run and the largest factor deviation of the last pass."""
-    if iterations < 1:
-        raise ValidationError(f"iterations must be >= 1, got {iterations}")
+    check_count("iterations", iterations)
     if tol is not None:
         check_tolerance("tol", tol)
     schema = constraints.schema

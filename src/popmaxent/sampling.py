@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AttributeSchema, Population
+from .core import AttributeSchema, Population, check_seed
 from .errors import ValidationError
 
 
@@ -75,6 +75,7 @@ def draw_population(schema: AttributeSchema, table: AliasTable, n: int, seed: in
     """n i.i.d. cells drawn from ``table`` under ``default_rng(seed)``, as a population."""
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
+    check_seed("seed", seed)
     counts = np.bincount(table._positions(np.random.default_rng(seed), n),
                          minlength=table.support.size)
     kept = np.flatnonzero(counts)

@@ -25,8 +25,12 @@ Claims:
       ``--config`` on eval) and ``rake``'s own sampling flags are rejected
       with exit 2 before anything is written
     - a fit, raking or benchmark tolerance that is not finite and positive,
-      zero benchmark raking passes, and a fit iteration cap below 1, exit 2
+      zero benchmark raking passes, a fit iteration cap below 1, and a
+      negative seed for sample, fit --metropolis or benchmark, exit 2
       naming the value, before anything is written
+    - a model's two digests are checked against its embedded constraint
+      and schema documents as stored: an edited or re-spelled target, an
+      edited schema, or an edited digest fails the load
 """
 
 import json
@@ -145,6 +149,30 @@ class TestArtifacts:
         from popmaxent import ValidationError
 
         with pytest.raises(ValidationError):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["respelled-target", "constraints-digest",
+                                      "schema-digest", "schema"])
+    def test_model_digests_are_of_the_stored_documents(self, tmp_path, problem, edit):
+        pop, _ = problem
+        model, report = fit_hard(extract_constraints(pop, ExtractionBudget.full()))
+        path = tmp_path / "m.json"
+        save_model(model, path, report)
+        doc = json.loads(path.read_text())
+        first = doc["constraints"]["constraints"][0]
+        if edit == "respelled-target":
+            # the same float in another decimal form no longer matches
+            first["target"] = repr(float(first["target"]))
+        elif edit == "constraints-digest":
+            doc["constraints_digest"] = "sha256:" + "0" * 64
+        elif edit == "schema-digest":
+            doc["schema_digest"] = "sha256:" + "0" * 64
+        else:
+            doc["constraints"]["schema"]["attributes"][0]["domain"].reverse()
+        path.write_text(json.dumps(doc))
+        from popmaxent import ValidationError
+
+        with pytest.raises(ValidationError, match="digest mismatch"):
             load_model(path)
 
 
@@ -439,6 +467,24 @@ class TestCliPipeline:
         }[command]
         assert main([command, *argv, *flags]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "fit", "benchmark"])
+    def test_negative_seeds_exit_2(self, tmp_path, problem, capsys, command):
+        _, source = problem
+        c, m = tmp_path / "c.json", tmp_path / "m.json"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "sample": [str(m), "--out", str(out), "-n", "10", "--seed", "-1"],
+            "fit": [str(c), "--out", str(out), "--metropolis", "--seed", "-1"],
+            "benchmark": ["--problems", str(c), "--sizes", "10", "--seeds", "1,-1",
+                          "--out-dir", str(out)],
+        }[command]
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config, named", [

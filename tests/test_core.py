@@ -24,7 +24,9 @@ Claims:
     - a schema rejects the text a file would not give back: a name or label
       with leading or trailing whitespace (the reader strips fields), and a
       name or label of the first attribute starting with ``#`` (its line
-      would read as a comment); such text elsewhere round-trips
+      would read as a comment), a name with a tab (the file would read as
+      tab-delimited), and a last attribute named ``__count`` (it would read
+      as the count column); such text elsewhere round-trips
     - a population's coordinates are computed once and read-only
     - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
       names the limit, from the generators and from ingestion alike
@@ -109,6 +111,27 @@ class TestSchema:
         # elsewhere on a line, and inside a label, '#' and whitespace round-trip
         s = AttributeSchema.from_domains([("A", ("x#", "y z")), ("#B", ("#u", "v"))])
         pop = Population.from_assignments(s, [(0, 0), (1, 0), (0, 1), (0, 1)])
+        for counted in (True, False):
+            assert read_population_text(population_text(pop, counted), schema=s).equals(pop)
+
+    def test_rejects_a_tab_in_a_name(self):
+        for named, attrs in (("A\tZ", [("A\tZ", ("x", "y")), ("B", ("u", "v"))]),
+                             ("B\tC", [("A", ("x", "y")), ("B\tC", ("u", "v"))])):
+            with pytest.raises(ValidationError) as exc:
+                AttributeSchema.from_domains(attrs)
+            assert str(exc.value).startswith(f"attribute {named!r} has a tab in its name")
+        # a tab inside a label round-trips: the header alone picks the delimiter
+        s = AttributeSchema.from_domains([("A", ("x", "y")), ("B", ("u\tw", "v"))])
+        pop = Population.from_assignments(s, [(0, 0), (1, 0), (1, 1)])
+        for counted in (True, False):
+            assert read_population_text(population_text(pop, counted), schema=s).equals(pop)
+
+    def test_rejects_a_last_attribute_named_like_the_count_column(self):
+        with pytest.raises(ValidationError, match=r"^attribute '__count' is last, so "):
+            AttributeSchema.from_domains([("A", ("x", "y")), ("__count", ("u", "v"))])
+        # anywhere else it round-trips, counted or not
+        s = AttributeSchema.from_domains([("__count", ("x", "y")), ("B", ("u", "v"))])
+        pop = Population.from_assignments(s, [(0, 0), (1, 0), (1, 1)])
         for counted in (True, False):
             assert read_population_text(population_text(pop, counted), schema=s).equals(pop)
 

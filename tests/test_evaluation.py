@@ -5,21 +5,24 @@ Claims:
       forms on one and two constraints, and is invariant to duplicating
       every individual
     - MRE shrinks with sample size for a fixed fitted model
-    - the grid runner emits one row per (problem, method, n, seed), writes
-      the same results table byte for byte on every run and worker count,
-      records fit failures without dying (a space over the cap whose
-      cliques fit fails at sampling, and says so), and the winner gap
-      follows the relative-reduction convention
+    - the grid runner emits one row per (problem, method, n, seed), runs
+      every cell in the calling thread, writes the same results and
+      summary tables byte for byte on every run and worker count, failure
+      lines included, records fit failures without dying (a space over
+      the cap whose cliques fit fails at sampling, and says so), and the
+      winner gap follows the relative-reduction convention
     - a raking row is record-level raking: a unary pool drawn under the
       cell's seed, raked on the constraints it can carry, sampled with
       sample_weighted, and scored on every constraint; its converged flag
       reports whether the last pass met the raking tolerance, and a cell
       whose raking fails is recorded as a failure
-    - a grid whose fit or raking tolerance is not finite and positive, or
-      that rakes for zero passes, is rejected, naming the value
+    - a grid whose fit or raking tolerance is not finite and positive, that
+      rakes for zero passes, or whose seeds are not nonnegative integers,
+      is rejected, naming the value
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -173,9 +176,23 @@ class TestBenchmark:
         assert summary_table(a) == summary_table(b)
 
     def test_parallel_jobs_same_rows(self):
-        a = run_benchmark(self.grid())
-        b = run_benchmark(self.grid(jobs=4))
-        assert results_table(a) == results_table(b)
+        # the second grid also fails: the fit of "lost" and each of its raking cells
+        s = schema_of(2, 2)
+        lost = BenchmarkProblem("lost", cs_of(s, [({0: 0, 1: 0}, 1.0), ({1: 1}, 0.3)]))
+        for kw in ({}, dict(problems=(self.grid().problems[0], lost))):
+            a = run_benchmark(self.grid(**kw))
+            b = run_benchmark(self.grid(jobs=4, **kw))
+            assert results_table(a) == results_table(b)
+            assert summary_table(a) == summary_table(b)
+        assert summary_table(a).count("# FAILURE ") == 1 + 3
+
+    def test_cells_run_in_the_calling_thread(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("run_benchmark started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run_benchmark(self.grid(jobs=2))
+        assert len(report.rows) == 6 and not report.failures
 
     def test_maxent_rows_equal_per_cell_sampling(self):
         # one shared alias table draws exactly what sampling each cell alone draws
@@ -239,6 +256,12 @@ class TestBenchmark:
             self.grid(sizes=())
         with pytest.raises(ValidationError):
             self.grid(methods=("maxent", "annealing"))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-2), "3", None])
+    def test_grid_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            self.grid(seeds=(1, seed))
+        assert str(exc.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
     @pytest.mark.parametrize("options, message", [
         (dict(fit_tol=0.0), "fit_tol must be finite and > 0, got 0.0"),

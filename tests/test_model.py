@@ -657,6 +657,16 @@ class TestMetropolis:
         with pytest.raises(ValidationError):
             metropolis_moments(model, sweeps=100, burn_in=-1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, False])
+    def test_chain_and_stochastic_fit_reject_a_seed_that_is_not_a_nonnegative_integer(
+            self, seed):
+        model = uniform_model(cs_of(schema_of(2, 2), [({0: 0}, 0.5)]))
+        message = f"^seed must be a nonnegative integer, got {seed!r}$"
+        with pytest.raises(ValidationError, match=message):
+            metropolis_moments(model, sweeps=100, burn_in=10, seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            fit_metropolis(model.constraints, seed=seed, iterations=2, sweeps=100, burn_in=10)
+
     def test_works_over_enumeration_cap(self):
         s = schema_of(2, 2, 2, 2)
         cs = ConstraintSet(

@@ -16,6 +16,9 @@ Claims:
     - weights whose total overflows, or whose total is too small to scale,
       raise a ValidationError naming the total instead of drawing
       uniformly
+    - both sampling functions take a nonnegative int or numpy integer
+      seed, and reject any other seed (a bool, a float, a negative) with a
+      ValidationError naming it
     - a model builds its alias table once, however often it is sampled;
       its populations equal those of a fresh model with the same
       multipliers; two models do not share a table; sampling leaves the
@@ -23,6 +26,7 @@ Claims:
       arm's table once per problem at any worker count
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -194,6 +198,21 @@ class TestSupport:
         assert sizes == [np.count_nonzero(weights.weights)]
         assert sizes[0] <= pool.cells.size < 2 ** 16
         assert np.isin(synth.cells, pool.cells).all()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-1), None])
+    def test_both_sampling_functions_reject_a_seed_that_is_not_a_nonnegative_integer(
+            self, model, seed):
+        weights = rake(model.constraints, 5)
+        message = f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_population(model, 10, seed)
+        with pytest.raises(ValidationError, match=message):
+            sample_weighted(weights, 10, seed)
+
+    def test_a_numpy_integer_seed_draws_as_its_int(self, model):
+        assert sample_population(model, 50, np.int64(3)).equals(sample_population(model, 50, 3))
 
 
 class TestModelTable:
