@@ -66,13 +66,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AttributeSchema, Pattern, _ScopeGroup
+from .core import AttributeSchema, Pattern, _ScopeGroup, check_count
 from .errors import CapacityError
 
 DEFAULT_ENUM_CAP = 2 ** 24
 
 
 def check_cap(schema: AttributeSchema, cap: int) -> None:
+    check_count("enum_cap", cap)
     if schema.n_cells > cap:
         raise CapacityError(
             f"attribute space has {schema.n_cells} cells, over the enumeration cap "
@@ -82,6 +83,7 @@ def check_cap(schema: AttributeSchema, cap: int) -> None:
 
 
 def check_clique_cap(layout: ScopeLayout, cap: int) -> None:
+    check_count("enum_cap", cap)
     largest = layout.cliques.largest
     if largest > cap:
         raise CapacityError(
@@ -346,6 +348,4 @@ class ScopeLayout:
             return np.empty(0)
         coords = np.unravel_index(np.asarray(cells, dtype=np.int64), self.schema.shape)
         weights = np.asarray(weights, dtype=np.float64)
-        sums = [np.bincount(g.keys(coords), weights=weights, minlength=g.size)
-                for g in self.groups]
-        return self._per_pattern(sums) / total
+        return self._per_pattern([g.counts(coords, weights) for g in self.groups]) / total

@@ -230,6 +230,8 @@ def weights_from_dict(doc: dict) -> WeightVector:
     if doc.get("format") != FORMATS["weights"]:
         raise ValidationError(f"not a weight-vector document: {doc.get('format')!r}")
     schema = schema_from_dict(doc["schema"])
+    if _digest(doc["schema"]) != doc.get("schema_digest"):
+        raise ValidationError("weights schema digest mismatch")
     return WeightVector(schema, np.array([float(v) for v in doc["weights"]]))
 
 

@@ -17,6 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,11 +38,12 @@ class AttributeSchema:
 
     ``attributes`` is a tuple of ``(name, domain)`` pairs where each domain
     is a tuple of category labels in canonical (ingestion) order.  Every
-    domain must hold at least two distinct categories, and attribute names
-    must be unique.  No name or label holds a line break (any character
-    ``str.splitlines`` splits on), since a population file row is one line,
-    or leading or trailing whitespace, which the reader strips; and none of
-    the first attribute starts with ``#``, which would make its line a comment.
+    domain must hold at least two distinct categories, names and labels
+    are strings, and attribute names must be unique.  No name or label
+    holds a line break (any character ``str.splitlines`` splits on), since
+    a population file row is one line, or leading or trailing whitespace,
+    which the reader strips; and none of the first attribute starts with
+    ``#``, which would make its line a comment.
     No name holds a tab, which would make the reader take the file as
     tab-delimited, and the last attribute is not named ``__count``, which
     the reader would take as the count column.
@@ -52,10 +54,10 @@ class AttributeSchema:
     def __post_init__(self):
         if not self.attributes:
             raise ValidationError("schema needs at least one attribute")
-        names = [name for name, _ in self.attributes]
-        if len(set(names)) != len(names):
-            raise ValidationError("attribute names must be unique")
         for name, domain in self.attributes:
+            if not all(isinstance(text, str) for text in (name, *domain)):
+                raise ValidationError(f"attribute {name!r} has a name or a category label "
+                                      "that is not a string")
             if len(domain) < 2:
                 raise ValidationError(
                     f"attribute {name!r} needs at least 2 categories, got {len(domain)}"
@@ -72,6 +74,9 @@ class AttributeSchema:
             if "\t" in name:
                 raise ValidationError(f"attribute {name!r} has a tab in its name, which would "
                                       "make its population file read as tab-delimited")
+        names = [name for name, _ in self.attributes]
+        if len(set(names)) != len(names):
+            raise ValidationError("attribute names must be unique")
         if any(text.startswith("#") for text in (names[0], *self.attributes[0][1])):
             raise ValidationError(f"attribute {names[0]!r} is first, so its name and category "
                                   "labels must not start with '#'")
@@ -91,7 +96,7 @@ class AttributeSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.attributes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(domain) for _, domain in self.attributes)
 
@@ -359,7 +364,9 @@ def check_tolerance(name: str, value: float) -> None:
 
 
 def check_count(name: str, value: int) -> None:
-    """Reject an iteration, pass or job count below 1."""
+    """Reject a count or cap that is not an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
@@ -389,36 +396,25 @@ class _ScopeGroup:
         """
         return sum(coords[a] * stride for a, stride in zip(self.scope, self.strides))
 
-
-# index entries per bincount call of scope_counts, so that a batch of many
-# scopes over many stored cells is counted in bounded memory
-_COUNT_CHUNK = 1 << 18
+    def counts(self, coords, weights) -> np.ndarray:
+        """The flat table of ``weights`` summed by entry; ``coords`` as for :meth:`keys`."""
+        return np.bincount(self.keys(coords), weights=weights, minlength=self.size)
 
 
 def scope_counts(pop: Population, scopes: Sequence[Sequence[int]]) -> np.ndarray:
     """Dense count tables of ``pop`` over scopes of one domain shape.
 
     Returns an array of shape ``(len(scopes), *shape)``: entry ``[s, combo]``
-    counts the individuals whose values on ``scopes[s]`` are ``combo``.
-    Counts are exact integers held as floats.  Scopes are not validated.
+    counts the individuals whose values on ``scopes[s]`` are ``combo``, by
+    one ``bincount`` per scope.  Counts are exact integers held as floats.
+    Scopes are not validated.
     """
-    scopes = np.asarray(scopes, dtype=np.intp)
-    group = _ScopeGroup(pop.schema, tuple(scopes[0].tolist()))
-    shape, size = group.shape, group.size
-    if np.any(np.asarray(pop.schema.shape)[scopes] != shape):
+    groups = [_ScopeGroup(pop.schema, tuple(scope)) for scope in scopes]
+    shape = groups[0].shape
+    if any(g.shape != shape for g in groups):
         raise ValidationError("scope_counts needs scopes of one domain shape")
     coords = pop.coords()
-    out = np.empty((len(scopes), size))
-    step = max(1, _COUNT_CHUNK // max(len(pop.cells), 1))
-    for lo in range(0, len(scopes), step):
-        block = scopes[lo:lo + step]
-        key = np.repeat(np.arange(len(block)) * size, len(pop.cells)).reshape(len(block), -1)
-        for p, stride in enumerate(group.strides):
-            key += coords[block[:, p]] * stride
-        out[lo:lo + step] = np.bincount(
-            key.ravel(), weights=np.tile(pop.counts, len(block)), minlength=len(block) * size
-        ).reshape(len(block), size)
-    return out.reshape(len(scopes), *shape)
+    return np.array([g.counts(coords, pop.counts) for g in groups]).reshape(len(groups), *shape)
 
 
 def marginal(pop: Population, scope: Sequence[int]) -> MarginalTable:

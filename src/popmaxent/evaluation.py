@@ -131,6 +131,7 @@ class BenchmarkGrid:
         check_count("jobs", self.jobs)
         check_count("fit_max_iter", self.fit_max_iter)
         check_count("rake_iterations", self.rake_iterations)
+        check_count("enum_cap", self.enum_cap)
         check_tolerance("fit_tol", self.fit_tol)
         if self.rake_tol is not None:
             check_tolerance("rake_tol", self.rake_tol)

@@ -162,20 +162,8 @@ class ConstraintSet:
 
 
 def _support_sums(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per row r of two (R, n) arrays, ``values[r][keep[r]].sum()``.
-
-    Each row's kept entries are packed to the front in order, and rows
-    with the same number of them are summed together, so every sum runs
-    over the same contiguous entries, in the same order, as the gathered
-    row's own sum would.
-    """
-    sizes = keep.sum(axis=1)
-    packed = np.take_along_axis(values, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-    out = np.zeros(len(values))
-    for size in np.unique(sizes):
-        rows = sizes == size
-        out[rows] = packed[rows, :size].sum(axis=1)
-    return out
+    """Per row r of two (R, n) arrays, ``values[r][keep[r]].sum()``."""
+    return np.array([row[kept].sum() for row, kept in zip(values, keep)])
 
 
 def _entropies(freqs: np.ndarray) -> np.ndarray:
@@ -398,11 +386,11 @@ def extract_constraints(pop: Population, budget: ExtractionBudget) -> Constraint
     combination of a retained marginal becomes one atomic constraint whose
     target is its exact empirical frequency.
 
-    Every candidate scope's count table is built once.  Candidates are
-    scored in batches of one domain shape: NMI over all pair tables at
-    once, and one IPF over a (T, d1, d2, d3) array per triple shape.  The
-    scores are bit-identical to scoring each candidate alone with
-    :func:`nmi`, :func:`ipf_fit` and :func:`kl_divergence`.
+    Every candidate scope's count table is built once, by one ``bincount``.
+    Candidates are scored in batches of one domain shape: NMI over all pair
+    tables at once, and one IPF over a (T, d1, d2, d3) array per triple
+    shape.  The scores are bit-identical to scoring each candidate alone
+    with :func:`nmi`, :func:`ipf_fit` and :func:`kl_divergence`.
     """
     schema = pop.schema
     if pop.total == 0:

@@ -127,6 +127,7 @@ class MaxEntModel:
     enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
+        check_count("enum_cap", self.enum_cap)
         lam = np.asarray(self.lam, dtype=np.float64)
         if lam.shape != (self.constraints.m,):
             raise ValidationError(

@@ -31,6 +31,12 @@ Claims:
     - a model's two digests are checked against its embedded constraint
       and schema documents as stored: an edited or re-spelled target, an
       edited schema, or an edited digest fails the load
+    - a weights document's schema digest is checked against its stored
+      schema: ``sample`` on a renamed label or a missing digest exits 2,
+      and so does a label that is not a string
+    - an enumeration cap that is not a positive integer exits 2, from
+      ``fit``, ``rake`` and ``benchmark`` flags and from a model document,
+      before anything is written
 """
 
 import json
@@ -448,10 +454,16 @@ class TestCliPipeline:
         ("fit", ["--iters", "0", "--metropolis", "--seed", "1"],
          "iterations must be >= 1, got 0"),
         ("benchmark", ["--iters", "0"], "fit_max_iter must be >= 1, got 0"),
+        ("fit", ["--enum-cap", "0"], "enum_cap must be >= 1, got 0"),
+        ("fit", ["--enum-cap", "-5"], "enum_cap must be >= 1, got -5"),
+        ("rake", ["--enum-cap", "0"], "enum_cap must be >= 1, got 0"),
+        ("rake", ["--enum-cap", "-5"], "enum_cap must be >= 1, got -5"),
+        ("benchmark", ["--enum-cap", "0"], "enum_cap must be >= 1, got 0"),
     ], ids=["fit-negative", "fit-nan", "fit-inf", "soft-zero", "metropolis-nan",
             "rake-negative", "rake-nan", "benchmark-rake-nan", "benchmark-fit-inf",
             "benchmark-zero-passes", "fit-zero-iters", "fit-negative-iters",
-            "metropolis-zero-iters", "benchmark-zero-iters"])
+            "metropolis-zero-iters", "benchmark-zero-iters", "fit-zero-cap",
+            "fit-negative-cap", "rake-zero-cap", "rake-negative-cap", "benchmark-zero-cap"])
     def test_unmeetable_tolerances_exit_2(self, tmp_path, problem, capsys, command, flags,
                                           named):
         _, source = problem
@@ -467,6 +479,47 @@ class TestCliPipeline:
         }[command]
         assert main([command, *argv, *flags]) == 2
         assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        ("renamed-label", "weights schema digest mismatch"),
+        ("integer-label",
+         "attribute 'A0' has a name or a category label that is not a string"),
+        ("no-digest", "weights schema digest mismatch"),
+    ])
+    def test_edited_weights_schema_exits_2(self, tmp_path, problem, capsys, edit, named):
+        _, source = problem
+        c, w, out = tmp_path / "c.json", tmp_path / "w.json", tmp_path / "p.csv"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["rake", str(c), "--out", str(w), "--iters", "5"])
+        doc = json.loads(w.read_text())
+        if edit == "no-digest":
+            del doc["schema_digest"]
+        else:
+            doc["schema"]["attributes"][0]["domain"][0] = 7 if edit == "integer-label" else "renamed"
+        w.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", str(w), "--out", str(out), "-n", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap, named", [
+        ("x", "an integer >= 1, got 'x'"),
+        (2.5, "an integer >= 1, got 2.5"),
+        (True, "an integer >= 1, got True"),
+        (0, ">= 1, got 0"),
+    ], ids=["string", "float", "bool", "zero"])
+    def test_model_document_enum_cap_exits_2(self, tmp_path, problem, capsys, cap, named):
+        _, source = problem
+        c, m, out = tmp_path / "c.json", tmp_path / "m.json", tmp_path / "p.csv"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        doc = json.loads(m.read_text())
+        doc["enum_cap"] = cap
+        m.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", str(m), "--out", str(out), "-n", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: enum_cap must be {named}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "fit", "benchmark"])

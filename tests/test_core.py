@@ -27,7 +27,14 @@ Claims:
       would read as a comment), a name with a tab (the file would read as
       tab-delimited), and a last attribute named ``__count`` (it would read
       as the count column); such text elsewhere round-trips
+    - a schema rejects a name or label that is not a string, naming the
+      attribute, before any string check could fail on it
     - a population's coordinates are computed once and read-only
+    - ``scope_counts`` on same-shape batches of every arity (a one-cell
+      population too) gives, over the total, exactly the frozen
+      one-scope dense marginal; scopes of mixed domain shapes are
+      rejected; and ``ScopeLayout.sparse_masses`` gives each pattern its
+      entry of the per-scope counts over the total, exactly
     - cell codes of a space over 2^63 - 1 cells raise a CapacityError that
       names the limit, from the generators and from ingestion alike
 """
@@ -54,9 +61,15 @@ from popmaxent import (
     read_population_text,
     support_size,
 )
+from popmaxent._dense import ScopeLayout
+from popmaxent.core import scope_counts
 from popmaxent.synthetic import mixture_population
 
-from oracles import frozen_population_text, frozen_read_population_text
+from oracles import (
+    frozen_dense_marginal,
+    frozen_population_text,
+    frozen_read_population_text,
+)
 
 
 def schema_of(*sizes):
@@ -134,6 +147,19 @@ class TestSchema:
         pop = Population.from_assignments(s, [(0, 0), (1, 0), (1, 1)])
         for counted in (True, False):
             assert read_population_text(population_text(pop, counted), schema=s).equals(pop)
+
+    @pytest.mark.parametrize("attrs, named", [
+        ([("A", ("x", 7))], "'A'"),
+        ([("A", ("x", "y")), (3, ("u", "v"))], "3"),
+        ([("A", ("x", None))], "'A'"),
+        ([(["A"], ("x", "y"))], "['A']"),
+        ([("A", ("x", ["y"]))], "'A'"),
+    ], ids=["int-label", "int-name", "null-label", "list-name", "list-label"])
+    def test_rejects_names_and_labels_that_are_not_strings(self, attrs, named):
+        with pytest.raises(ValidationError) as exc:
+            AttributeSchema.from_domains(attrs)
+        assert str(exc.value) == (f"attribute {named} has a name or a category label "
+                                  "that is not a string")
 
     def test_counts(self):
         s = schema_of(3, 2, 4)
@@ -572,3 +598,43 @@ class TestCoords:
         assert pop.coords() is coords
         assert not coords.flags.writeable
         assert np.array_equal(coords, [[0, 2], [1, 0], [3, 1]])
+
+
+class TestScopeCounts:
+    sizes = (3, 2, 3, 2, 3, 2, 2)
+
+    def populations(self):
+        schema = schema_of(*self.sizes)
+        rng = np.random.default_rng(31)
+        rows = rng.integers(0, self.sizes, size=(400, len(self.sizes)))
+        yield Population.from_assignments(schema, [tuple(r) for r in rows])
+        yield Population(schema, [schema.n_cells - 5], [7])  # one cell
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_same_shape_batches_are_the_frozen_marginals(self, arity):
+        for pop in self.populations():
+            by_shape = {}
+            for scope in itertools.combinations(range(len(self.sizes)), arity):
+                by_shape.setdefault(tuple(self.sizes[a] for a in scope), []).append(scope)
+            for shape, scopes in by_shape.items():
+                counts = scope_counts(pop, scopes)
+                assert counts.shape == (len(scopes), *shape)
+                for scope, table in zip(scopes, counts):
+                    assert np.array_equal(table / pop.total, frozen_dense_marginal(pop, scope))
+
+    def test_mixed_domain_shapes_are_rejected(self):
+        pop = next(self.populations())
+        for scopes in ([(0,), (1,)], [(0, 1), (0, 2)], [(0, 1, 2), (0, 1, 3)]):
+            with pytest.raises(ValidationError, match="^scope_counts needs scopes of one "
+                                                      "domain shape$"):
+                scope_counts(pop, scopes)
+
+    def test_sparse_masses_are_the_scope_counts_over_the_total(self):
+        pop = next(self.populations())
+        scopes = [(1,), (0, 4), (2, 5), (0, 3, 6), (1, 2, 4)]
+        patterns = [Pattern.of(dict(zip(scope, combo))) for scope in scopes
+                    for combo in itertools.product(*(range(self.sizes[a]) for a in scope))]
+        masses = ScopeLayout(pop.schema, patterns).sparse_masses(pop.cells, pop.counts,
+                                                                 pop.total)
+        expected = [scope_counts(pop, [p.scope])[0][p.values] / pop.total for p in patterns]
+        assert masses.tolist() == expected

@@ -271,6 +271,8 @@ class TestBenchmark:
         (dict(rake_iterations=0), "rake_iterations must be >= 1, got 0"),
         (dict(fit_max_iter=0), "fit_max_iter must be >= 1, got 0"),
         (dict(fit_max_iter=-5), "fit_max_iter must be >= 1, got -5"),
+        (dict(enum_cap=0), "enum_cap must be >= 1, got 0"),
+        (dict(enum_cap=2.0 ** 24), "enum_cap must be an integer >= 1, got 16777216.0"),
     ])
     def test_grid_rejects_unmeetable_stopping_rules(self, options, message):
         with pytest.raises(ValidationError) as exc:

@@ -21,7 +21,9 @@ Claims:
       raises CapacityError when the cap is below the largest clique)
     - a target of 1 is rejected with a message naming the first such
       pattern; hard, soft and Metropolis fits reject a tolerance that is
-      not finite and positive, and an iteration cap below 1, before fitting
+      not finite and positive, and an iteration cap below 1, before fitting;
+      they, the model and both cap checks reject an enumeration cap that is
+      not an integer >= 1
     - the driver's rescaled multipliers stay out of sight: hard and soft
       reports give the dual value, residual and soft convergence of the
       returned multipliers, recomputed independently; a weak penalty's
@@ -76,7 +78,7 @@ from popmaxent import (
     sample_population,
     uniform_model,
 )
-from popmaxent._dense import DEFAULT_ENUM_CAP
+from popmaxent._dense import DEFAULT_ENUM_CAP, check_cap, check_clique_cap
 from popmaxent.extraction import AtomicConstraint
 from popmaxent.model import _chain_factors, _run_chain
 from popmaxent.synthetic import mixture_population
@@ -353,6 +355,22 @@ class TestFitHard:
                            "iterations")):
             with pytest.raises(ValidationError, match=rf"^{name} must be >= 1, got {cap}$"):
                 fit(cs)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, "x", True, None])
+    def test_enum_cap_that_is_not_a_positive_integer_rejected(self, cap):
+        cs = cs_of(schema_of(2, 2), [({0: 0}, 0.4)])
+        expected = (f"enum_cap must be >= 1, got {cap}" if type(cap) is int
+                    else f"enum_cap must be an integer >= 1, got {cap!r}")
+        for make in (functools.partial(MaxEntModel, cs, np.zeros(1), cap),
+                     functools.partial(check_cap, cs.schema, cap),
+                     functools.partial(check_clique_cap, cs.layout, cap),
+                     functools.partial(fit_hard, cs, enum_cap=cap),
+                     functools.partial(fit_soft, cs, SoftFitConfig(beta=10.0), enum_cap=cap),
+                     functools.partial(fit_metropolis, cs, seed=1, iterations=1,
+                                       enum_cap=cap)):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert str(exc.value) == expected
 
 
 @functools.lru_cache(maxsize=None)
