@@ -192,15 +192,23 @@ def model_to_dict(model: MaxEntModel, report: FitReport | None = None,
 def model_from_dict(doc: dict) -> tuple[MaxEntModel, FitReport | None]:
     if doc.get("format") != FORMATS["model"]:
         raise ValidationError(f"not a model document: {doc.get('format')!r}")
+    for key in ("constraints", "constraints_digest", "schema_digest", "lambda", "enum_cap"):
+        if key not in doc:
+            raise ValidationError(f"model document has no {key!r} key")
     cs = constraints_from_dict(doc["constraints"])
     # digests of the embedded documents as stored: a re-spelled value fails
     if _digest(doc["constraints"]) != doc["constraints_digest"]:
         raise ValidationError("model constraint digest mismatch")
     if _digest(doc["constraints"]["schema"]) != doc["schema_digest"]:
         raise ValidationError("model schema digest mismatch")
-    model = MaxEntModel(
-        cs, np.array([float(v) for v in doc["lambda"]]), doc["enum_cap"]
-    )
+    lam = doc["lambda"]
+    try:
+        if not (isinstance(lam, list) and all(isinstance(v, str) for v in lam)):
+            raise ValueError
+        lam = np.array([float(v) for v in lam])
+    except ValueError:
+        raise ValidationError("model lambda must be a list of decimal strings") from None
+    model = MaxEntModel(cs, lam, doc["enum_cap"])
     report = report_from_dict(doc["fit_report"]) if doc.get("fit_report") else None
     return model, report
 
@@ -268,8 +276,15 @@ def save_json(doc: dict, path) -> None:
 
 
 def load_json(path) -> dict:
+    """The JSON object a file holds; anything else raises ValidationError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def save_constraints(cs: ConstraintSet, path, prov: dict | None = None) -> None:

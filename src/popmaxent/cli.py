@@ -58,13 +58,10 @@ def _load_config(args, parser: argparse.ArgumentParser) -> None:
     A key is one of the command's optional flags that takes a value; a
     value is checked against the flag's type, and null leaves the default.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"config file {args.config} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("config file must hold a JSON object")
+    try:
+        doc = artifacts.load_json(args.config)
+    except ValidationError as exc:
+        raise ValidationError(f"config file {exc}") from None
     flags = {a.dest: a for a in parser._actions if a.option_strings and a.nargs != 0
              and not a.required and a.dest != "config"}
     unknown = sorted(set(doc) - set(flags))
@@ -193,26 +190,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _load_distribution(path):
-    """A model or weight-vector artifact, whichever the file holds."""
-    doc = artifacts.load_json(path)
-    fmt = doc.get("format")
-    if fmt == artifacts.FORMATS["model"]:
-        model, _ = artifacts.model_from_dict(doc)
-        return ("model", model)
-    if fmt == artifacts.FORMATS["weights"]:
-        return ("weights", artifacts.weights_from_dict(doc))
-    raise ValidationError(f"{path}: expected a model or weights document, got {fmt!r}")
-
-
 def cmd_sample(args) -> int:
     if args.size < 1:
         raise ValidationError("--size must be a positive individual count")
-    kind, dist = _load_distribution(args.artifact)
-    if kind == "model":
-        pop = sample_population(dist, args.size, args.seed)
+    doc = artifacts.load_json(args.artifact)
+    fmt = doc.get("format")
+    if fmt == artifacts.FORMATS["model"]:
+        pop = sample_population(artifacts.model_from_dict(doc)[0], args.size, args.seed)
+    elif fmt == artifacts.FORMATS["weights"]:
+        pop = sample_weighted(artifacts.weights_from_dict(doc), args.size, args.seed)
     else:
-        pop = sample_weighted(dist, args.size, args.seed)
+        raise ValidationError(
+            f"{args.artifact}: expected a model or weights document, got {fmt!r}")
     comments = [
         f"popmaxent {__version__} population",
         f"input {args.artifact} {artifacts.digest_file(args.artifact)}",

@@ -12,14 +12,14 @@ and the scope tables of a clique over it.  Cell probabilities, and with
 them sampling, enumerate the whole space and need the space itself
 within the cap.
 
-Hard and soft fits run one L-BFGS driver on the convex dual
+Hard and soft fits minimise one objective by L-BFGS: the convex dual
 log Z(lambda) - lambda . alpha, whose gradient is (model moments -
-targets).  A hard fit is the driver with no penalty; where L-BFGS stops
+targets), plus the multiplier penalty  sum_j lambda_j^2 / (2 beta w_j),
+the dual form of the entropy-versus-fidelity trade-off with
+per-constraint weights.  A hard fit has no penalty; where L-BFGS stops
 on a dual flat to rounding before the tolerance, Newton steps on the
 gradient alone finish it on the same tree, their Hessian-vector products
-taken by complex step.  A soft fit adds the quadratic multiplier penalty
- sum_j lambda_j^2 / (2 beta w_j), the dual form of the
-entropy-versus-fidelity trade-off with per-constraint weights.
+taken by complex step.
 
 L-BFGS runs on rescaled multipliers, lambda_j = mu_j / sqrt(h_j) with
 h_j = alpha_j (1 - alpha_j): the dual's Hessian is the feature covariance,
@@ -28,7 +28,8 @@ is Jacobi (diagonal) preconditioning fixed from the targets (Nocedal &
 Wright 2006, sec. 7.2, on scaling L-BFGS; Malouf 2002 on L-BFGS for
 max-ent duals).  Rare and common patterns then have curvatures near 1
 alike, and L-BFGS's ten-pair Hessian model no longer has to learn their
-spread.  A soft fit's penalty adds 1 / (beta w_j) to that diagonal.
+spread.  A soft fit's penalty adds 1 / (beta w_j) to that diagonal; a
+constraint it drops (w_j = 0) gets scale 0, which holds its multiplier at 0.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -133,6 +134,9 @@ class MaxEntModel:
             raise ValidationError(
                 f"lambda length {lam.shape} does not match {self.constraints.m} constraints"
             )
+        bad = np.flatnonzero(~np.isfinite(lam))
+        if bad.size:
+            raise ValidationError(f"lambda[{bad[0]}] is not finite: {lam[bad[0]]}")
         over = np.flatnonzero(self.constraints.targets() >= 1.0)
         if over.size:
             raise ValidationError(
@@ -267,20 +271,18 @@ def fit_soft(
 
 
 def _fit(constraints, soft, tol, max_iter, enum_cap):
-    """L-BFGS on the dual from a zero start; hard when ``soft`` is None.
+    """L-BFGS on one objective from a zero start; hard when ``soft`` is None.
 
-    A soft fit adds  sum_j lambda_j^2 / (2 beta w_j)  over its positive-weight
-    constraints and holds the others at zero.  L-BFGS minimises over
-    mu = lambda / scale, scale_j = 1 / sqrt(alpha_j (1 - alpha_j) [+ 1 / (beta
-    w_j) in a soft fit]), the Hessian's diagonal at the solution (module
-    docstring); targets strictly inside (0, 1) keep it finite.  It sees the
-    dual's value and scale times its gradient.  Its gradient tolerance is
-    ``tol``, times the smallest scale when that is below 1 (beta w_j < 4/3),
-    so a stop on the scaled gradient meets ``tol`` unscaled; the report
-    reads the unscaled multipliers and gradient.  The dual and a hard
-    fit's Newton polish, whose Hessian-vector products are complex steps
-    of the masses, run on the clique tree, so the cap bounds its largest
-    clique and never the space.
+    The objective is the dual plus  0.5 sum_j inv_bw_j lambda_j^2, with
+    inv_bw_j = 1 / (beta w_j) for a kept soft constraint and 0 otherwise
+    (so no penalty in a hard fit).  L-BFGS runs over mu = lambda / scale,
+    scale_j = 1 / sqrt(alpha_j (1 - alpha_j) + inv_bw_j), the Hessian's
+    diagonal at the solution (module docstring), or 0 for a dropped
+    constraint (w_j = 0), whose multiplier then stays exactly 0.  The
+    gradient tolerance is ``tol`` times the smallest kept scale when that
+    is below 1 (beta w_j < 4/3), so a stop on the scaled gradient meets
+    ``tol`` unscaled.  The dual and a hard fit's Newton polish run on the
+    clique tree, so the cap bounds its largest clique and never the space.
     """
     check_tolerance("tol", tol)
     check_count("max_iter", max_iter)
@@ -290,42 +292,32 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
     m = constraints.m
     zero = MaxEntModel(constraints, np.zeros(m), enum_cap)  # rejects targets of 1
     targets = constraints.targets()
-    curvature = targets * (1.0 - targets)  # Var f_j at the solution
-    if soft is None:
-        active = np.arange(m)
-        fun = partial(_dual_value_grad, layout=layout, targets=targets)
-    else:
+    kept = np.ones(m, dtype=bool)
+    inv_bw = np.zeros(m)  # the penalty's curvature 1 / (beta w_j), 0 in a hard fit
+    if soft is not None:
         weights = soft.weight_vector(m)
-        active = np.flatnonzero(weights > 0.0)
-        inv_bw = 1.0 / (soft.beta * weights[active])
-        curvature = curvature[active] + inv_bw
-
-        def fun(lam_active):
-            lam = np.zeros(m)
-            lam[active] = lam_active
-            value, grad = _dual_value_grad(lam, layout, targets)
-            value += 0.5 * float(lam_active @ (inv_bw * lam_active))
-            return value, grad[active] + inv_bw * lam_active
-
-    if active.size == 0:
+        kept = weights > 0.0
+        inv_bw[kept] = 1.0 / (soft.beta * weights[kept])
+    if not kept.any():
         residual = float(np.abs(zero.moments() - targets).max()) if m else 0.0
         return zero, FitReport(0, math.log(constraints.schema.n_cells), residual, True, 0.0,
                                **clique_fields)
 
-    scale = 1.0 / np.sqrt(curvature)  # lambda = scale * mu
-    gtol = tol * min(1.0, float(scale.min()))
+    scale = np.zeros(m)  # lambda = scale * mu; a zero scale holds a dropped multiplier at 0
+    scale[kept] = 1.0 / np.sqrt((targets * (1.0 - targets) + inv_bw)[kept])
+    gtol = tol * min(1.0, float(scale[kept].min()))
 
     def scaled_fun(mu):
-        value, grad = fun(scale * mu)
-        return value, scale * grad
+        lam = scale * mu
+        value, grad = _dual_value_grad(lam, layout, targets)
+        return value + 0.5 * float(lam @ (inv_bw * lam)), scale * (grad + inv_bw * lam)
 
     t0 = time.perf_counter()
-    res = minimize(scaled_fun, np.zeros(active.size), jac=True, method="L-BFGS-B",
+    res = minimize(scaled_fun, np.zeros(m), jac=True, method="L-BFGS-B",
                    options=dict(maxiter=max_iter, maxfun=20 * max_iter, maxcor=10,
                                 gtol=gtol, ftol=1e-18))
     seconds = time.perf_counter() - t0
-    lam = np.zeros(m)
-    lam[active] = scale * res.x
+    lam = scale * res.x
     residual = float(np.abs(_dual_value_grad(lam, layout, targets)[1]).max())
     message = str(res.message)
     # status 1: the iteration budget ran out, which the polish must not extend
@@ -333,7 +325,8 @@ def _fit(constraints, soft, tol, max_iter, enum_cap):
         lam, residual, polished = _polish(lam, layout, targets, tol)
         if polished:
             message += f"; {polished} Newton steps on the residual"
-    converged = (residual if soft is None else float(np.abs(res.jac / scale).max())) <= tol
+    converged = (residual if soft is None
+                 else float(np.abs(res.jac[kept] / scale[kept]).max())) <= tol
     return MaxEntModel(constraints, lam, enum_cap), FitReport(
         iterations=int(res.nit),
         dual_value=float(res.fun),

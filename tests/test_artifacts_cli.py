@@ -37,6 +37,12 @@ Claims:
     - an enumeration cap that is not a positive integer exits 2, from
       ``fit``, ``rake`` and ``benchmark`` flags and from a model document,
       before anything is written
+    - an artifact file that is not a JSON object (a list, truncated text,
+      text that is not UTF-8) exits 2 naming the file, from ``sample``,
+      ``fit`` and ``eval``; so does a model document without a key it
+      needs, or with a multiplier that is not a decimal string or not finite
+    - ``sample`` without ``-n``, or of a constraint problem, exits 2; a
+      ConvergenceError exits 3 and prints its residual
 """
 
 import json
@@ -520,6 +526,93 @@ class TestCliPipeline:
         capsys.readouterr()
         assert main(["sample", str(m), "--out", str(out), "-n", "10", "--seed", "1"]) == 2
         assert capsys.readouterr().err == f"error: enum_cap must be {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, named", [
+        ("[1, 2]", "must hold a JSON object, not list"),
+        ('{"format": ', "is not valid JSON: "),
+        (b"\xff\xfe{}", "is not valid JSON: "),
+    ], ids=["list", "truncated", "not-utf8"])
+    @pytest.mark.parametrize("command", ["sample", "fit", "eval"])
+    def test_artifact_that_is_not_a_json_object_exits_2(self, tmp_path, problem, capsys,
+                                                        command, body, named):
+        pop, _ = problem
+        bad, out, pop_csv = tmp_path / "bad.json", tmp_path / "out", tmp_path / "pop.csv"
+        (bad.write_bytes if isinstance(body, bytes) else bad.write_text)(body)
+        write_population(pop, pop_csv)
+        argv = {
+            "sample": ["sample", str(bad), "--out", str(out), "-n", "10", "--seed", "1"],
+            "fit": ["fit", str(bad), "--out", str(out)],
+            "eval": ["eval", str(pop_csv), "--constraints", str(bad), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} {named}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        ("no-schema-digest", "model document has no 'schema_digest' key"),
+        ("no-constraints-digest", "model document has no 'constraints_digest' key"),
+        ("no-enum-cap", "model document has no 'enum_cap' key"),
+        ("null", "model lambda must be a list of decimal strings"),
+        ("true", "model lambda must be a list of decimal strings"),
+        ("-1e400", "lambda[1] is not finite: -inf"),
+        ("nan", "lambda[1] is not finite: nan"),
+        ("inf", "lambda[1] is not finite: inf"),
+    ], ids=["no-schema-digest", "no-constraints-digest", "no-enum-cap", "null", "true",
+            "-1e400", "nan", "inf"])
+    def test_model_document_keys_and_multipliers_exit_2(self, tmp_path, problem, capsys,
+                                                        edit, named):
+        _, source = problem
+        c, m, out = tmp_path / "c.json", tmp_path / "m.json", tmp_path / "p.csv"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        doc = json.loads(m.read_text())
+        if edit.startswith("no-"):
+            del doc[edit[3:].replace("-", "_")]
+        else:
+            doc["lambda"][1] = {"null": None, "true": True}.get(edit, edit)
+        m.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", str(m), "--out", str(out), "-n", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_sample_without_size_exits_2(self, tmp_path, problem, capsys):
+        _, source = problem
+        c, m, out = tmp_path / "c.json", tmp_path / "m.json", tmp_path / "p.csv"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        main(["fit", str(c), "--out", str(m)])
+        capsys.readouterr()
+        assert main(["sample", str(m), "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --size must be a positive individual count\n")
+        assert not out.exists()
+
+    def test_sample_of_a_constraint_problem_exits_2(self, tmp_path, problem, capsys):
+        _, source = problem
+        c, out = tmp_path / "c.json", tmp_path / "p.csv"
+        main(["extract", str(source), "--out", str(c), "--max-arity", "1"])
+        capsys.readouterr()
+        assert main(["sample", str(c), "--out", str(out), "-n", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {c}: expected a model or weights document, "
+            "got 'popmaxent/constraints-v1'\n")
+        assert not out.exists()
+
+    def test_convergence_error_exits_3_with_its_residual(self, tmp_path, problem, capsys,
+                                                         monkeypatch):
+        from popmaxent.errors import ConvergenceError
+
+        def unconverged(pop, budget):
+            raise ConvergenceError("ipf_fit did not reach tolerance 1e-10", residual=0.25)
+
+        monkeypatch.setattr("popmaxent.cli.extract_constraints", unconverged)
+        _, source = problem
+        out = tmp_path / "c.json"
+        assert main(["extract", str(source), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: ipf_fit did not reach tolerance 1e-10 (residual 2.500e-01)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "fit", "benchmark"])

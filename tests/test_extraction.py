@@ -4,7 +4,8 @@ Claims:
     - NMI is 0 on exact independence, 1 on copies, bounded in [0, 1], and
       matches hand-computed values on 2x2 tables
     - ipf_fit reproduces its own fixed points, returns uniform for the XOR
-      triple, and matches all pairwise projections to 1e-8
+      triple, matches all pairwise projections to 1e-8, and gives the same
+      bits for a pairwise marginal whose scope is listed in reverse
     - KL examples: identity 0, point-mass vs fair coin log 2, XOR triple
       vs its IPF reference log 2
     - extraction retains scopes by score with lexicographic ordering, is
@@ -160,6 +161,19 @@ class TestIPF:
         pop = mixture_population(3, 100, seed=1)
         with pytest.raises(ValidationError):
             ipf_fit(pop.schema, (0, 1, 2), [marginal(pop, (0, 1))])
+
+    @pytest.mark.parametrize("reversed_pairs", [(0,), (1,), (2,), (0, 1, 2)],
+                             ids=["first", "second", "third", "all"])
+    def test_reversed_pair_scopes_match_canonical_order(self, reversed_pairs):
+        # three domain sizes, so a pair table read untransposed cannot fit
+        rng = np.random.default_rng(9)
+        cells = rng.choice(24, size=3000, p=rng.dirichlet(np.full(24, 2.0)))
+        pop = pop_of((2, 3, 4), np.stack(np.unravel_index(cells, (2, 3, 4)), axis=1).tolist())
+        scopes = [(0, 1), (0, 2), (1, 2)]
+        canonical = ipf_fit(pop.schema, (0, 1, 2), [marginal(pop, s) for s in scopes])
+        pairs = [marginal(pop, s[::-1] if i in reversed_pairs else s)
+                 for i, s in enumerate(scopes)]
+        assert np.array_equal(ipf_fit(pop.schema, (0, 1, 2), pairs), canonical)
 
     def test_matches_naive_dict_oracle(self):
         from oracles import naive_ipf
